@@ -7,7 +7,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import GeometryError, ParameterError, ShapeError
-from .helmholtz import HelmholtzOperator, build_kernel, forward_solve
+from .helmholtz import build_kernel, forward_solve
 
 
 @dataclass(frozen=True)
@@ -144,7 +144,7 @@ def synthesize_data(m_true, geometry, frequencies, pml, scheme, f0=5.0):
         P = build_observation(kernel.topology, geometry.receivers)
         amplitude = ricker_spectrum(f, f0)
         b = np.column_stack([build_source(kernel.topology, s, amplitude) for s in geometry.sources])
-        u = forward_solve(HelmholtzOperator(kernel, kernel.assemble(m_true.values)), b)
+        u = forward_solve(kernel.assemble(m_true.values), b)
         data.append(P @ u)
         scales.append(amplitude)
     return FrequencyDataset(

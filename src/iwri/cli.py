@@ -18,15 +18,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .acquisition import add_noise, synthesize_data
+from .acquisition import add_noise, build_observation, synthesize_data
 from .errors import ConfigError, FactorizationError, FormatError, IwriError, SolverError
 from .fileio import (load_config, read_dataset, read_model_file, write_convergence_csv,
                      write_dataset, write_model_file, write_raster)
 from .grid import velocity_to_slowness_sq
 from .helmholtz import build_kernel
-from .linalg import lu_factorize, power_iteration_mu1
 from .refinement import DenseProblem, accumulated_rhs_solve, iterative_refine, pseudo_inverse_solve
-from .workflow import run_batch, run_inversion
+from .workflow import estimate_mu1, run_batch, run_inversion
 
 
 class _Parser(argparse.ArgumentParser):
@@ -160,13 +159,10 @@ def _cmd_mu1(args):
     model = read_model_file(config.path(model_key))
     m = velocity_to_slowness_sq(model)
     pml = config.pml().resolved(model.grid, float(np.max(model.values)))
-    kernel = build_kernel(model.grid, 2.0 * math.pi * args.freq, pml, config.settings().scheme)
-    from .acquisition import build_observation
-
+    settings = config.settings()
+    kernel = build_kernel(model.grid, 2.0 * math.pi * args.freq, pml, settings.scheme)
     P = build_observation(kernel.topology, config.geometry().receivers)
-    a_lu = lu_factorize(kernel.assemble(m.values))
-    est = power_iteration_mu1(a_lu, P, tol=config._float("mu1_tol"),
-                              max_it=500, seed=config._int("seed"))
+    est = estimate_mu1(kernel, m.values, P, settings)
     print(f"mu1 = {est.value:.8e} (converged={est.converged}, iterations={est.iterations})")
     if args.dense_check:
         n = kernel.topology.n_pad

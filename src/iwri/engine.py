@@ -26,7 +26,7 @@ import scipy.sparse as sp
 
 from .errors import ParameterError, ShapeError, SolverError
 from .grid import velocity_to_slowness_sq
-from .helmholtz import HelmholtzOperator, build_kernel, forward_solve
+from .helmholtz import build_kernel, forward_solve
 from .acquisition import build_observation, build_source
 from .linalg import FactorizationError, assemble_normal_matrix, factorize
 from .util import axis_minor_ordering, stacked_norm
@@ -141,7 +141,6 @@ class InversionProblem:
         topo = self.kernels[0].topology
         self.topology = topo
         self.P = build_observation(topo, self.geometry.receivers)
-        self.Pt = self.P.conjugate().T.tocsr()
         self.sources = []
         for i, _f in enumerate(dataset.frequencies):
             amp = dataset.source_scale[i]
@@ -167,7 +166,7 @@ class InversionProblem:
         if m_true is not None:
             self.m_star = velocity_to_slowness_sq(m_true).values
             if reference_wavefields:
-                self.u_star = [forward_solve(HelmholtzOperator(k, k.assemble(self.m_star)), b)
+                self.u_star = [forward_solve(k.assemble(self.m_star), b)
                                for k, b in zip(self.kernels, self.sources)]
 
     @property
@@ -227,25 +226,21 @@ def wri_objective(A, P, u, d_eff, b_eff, lam):
     return data, pde
 
 
-def wri_gradient_m(kernel, m_values, u, b_eff):
-    """Gradient of 1/2 ||A(m) u - b_eff||^2 with respect to the physical
-    model at fixed u (exact adjoint of the mass linearization)."""
-    u = np.atleast_2d(np.asarray(u).T).T  # promote (n,) to (n, 1)
-    b_eff = np.atleast_2d(np.asarray(b_eff).T).T
-    A = kernel.assemble(m_values)
-    r = A @ u - b_eff
+def _mass_adjoint(kernel, u, r):
+    """Re(L(u)^H r) restricted to the physical cells, summed over source
+    columns: bincount(phys_of_pad, Re(omega^2 conj(u) S^H r))."""
     sh_r = kernel.mass_basis.conjugate().T @ r
     g_pad = np.sum(np.real(kernel.omega**2 * np.conj(u) * sh_r), axis=1)
     return np.bincount(kernel.topology.phys_of_pad, weights=g_pad,
                        minlength=kernel.grid.n)
 
 
-def accumulate_model_system(kernel, restriction, u_column, y_column):
-    """Contribution of one (frequency, source) pair to the model normal
-    equations: (L_r^H L_r, L_r^H y) with L_r the mass linearization
-    restricted to the physical cells."""
-    Lr = kernel.scaled_mass(u_column) @ restriction
-    return (Lr.conjugate().T @ Lr), (Lr.conjugate().T @ y_column), Lr
+def wri_gradient_m(kernel, m_values, u, b_eff):
+    """Gradient of 1/2 ||A(m) u - b_eff||^2 with respect to the physical
+    model at fixed u (exact adjoint of the mass linearization)."""
+    u = np.atleast_2d(np.asarray(u).T).T  # promote (n,) to (n, 1)
+    b_eff = np.atleast_2d(np.asarray(b_eff).T).T
+    return _mass_adjoint(kernel, u, kernel.assemble(m_values) @ u - b_eff)
 
 
 def estimate_model(normal, rhs, lo, hi, box, *, ordering=None, mode="bregman",
@@ -297,114 +292,101 @@ def estimate_model(normal, rhs, lo, hi, box, *, ordering=None, mode="bregman",
 # -- the outer cycle ---------------------------------------------------------
 
 
-def _run_cycle(problem, state, params, n_inner):
-    if len(params.lambdas) != len(problem.frequencies):
-        raise ShapeError("need one penalty weight per frequency")
-    variant = params.variant
-    n_src = problem.n_sources
-    k_before = state.k
-
-    if state.assembled is None:
-        state.assembled = [kern.assemble(state.m_values) for kern in problem.kernels]
-
+def _wavefield_phase(problem, state, params, i):
+    """Wavefield reconstructions at frequency i against A(m^k), each
+    followed by the data-dual step and, for prsm, an alpha source-dual step.
+    Returns ||b - A u||^2 of the batch's first reconstruction, else 0."""
+    A = state.assembled[i]
+    lam = params.lambdas[i]
+    d, b = problem.observed[i], problem.sources[i]
+    duals = state.duals
+    try:
+        fact = factorize(assemble_normal_matrix(A, problem.P, lam),
+                         ordering=problem.pad_ordering)
+    except FactorizationError as exc:
+        raise SolverError(f"wavefield normal-matrix factorization failed: {exc}",
+                          frequency=problem.frequencies[i], iteration=state.k) from exc
     initial_sq = 0.0
-    # wavefield refinement (+ data/source dual refinement at fixed model)
-    for i, kern in enumerate(problem.kernels):
-        A = state.assembled[i]
-        lam = params.lambdas[i]
-        d = problem.observed[i]
-        b = problem.sources[i]
-        try:
-            fact = factorize(assemble_normal_matrix(A, problem.P, lam),
-                             ordering=problem.pad_ordering)
-        except FactorizationError as exc:
-            raise SolverError(f"wavefield normal-matrix factorization failed: {exc}",
-                              frequency=problem.frequencies[i], iteration=k_before) from exc
-        At = A.conjugate().T.tocsr()
-        u = state.u[i]
-        for j in range(n_inner):
-            rhs = problem.Pt @ (d + state.duals.data[i]) \
-                + lam * (At @ (b + state.duals.source[i]))
-            u = fact.solve(rhs)
-            state.pde_solve_count += n_src
-            residual_mid = None
-            if variant is not Variant.WRI:
-                state.duals.data[i] = update_data_dual(state.duals.data[i], d, problem.P @ u)
-            if variant is Variant.PRSM or (k_before == 0 and j == 0):
-                residual_mid = b - A @ u
-            if variant is Variant.PRSM:
-                state.duals.source[i] = state.duals.source[i] + params.alpha * residual_mid
-            if k_before == 0 and j == 0:
-                initial_sq += float(np.sum(np.abs(residual_mid) ** 2))
-        state.u[i] = u
+    for j in range(params.inner_iterations):
+        u = reconstruct_wavefield(fact, problem.P, A, lam, d + duals.data[i], b + duals.source[i])
+        state.pde_solve_count += problem.n_sources
+        Au = A @ u
+        if params.variant is not Variant.WRI:
+            duals.data[i] = update_data_dual(duals.data[i], d, problem.P @ u)
+        if params.variant is Variant.PRSM:
+            duals.source[i] = update_source_dual(duals.source[i], b, Au, params.alpha)
+        if state.k == 0 and j == 0:
+            initial_sq = float(np.sum(np.abs(b - Au) ** 2))
+    state.u[i] = u
+    return initial_sq
 
-    # model refinement (+ source dual refinement at fixed wavefield)
-    normal_c = None
-    model_warn = False
-    lrs = []
-    for i, kern in enumerate(problem.kernels):
-        per_source = []
-        for s in range(n_src):
-            Lr = kern.scaled_mass(state.u[i][:, s]) @ problem.restriction
-            per_source.append(Lr)
+
+def _model_phase(problem, state, params):
+    """Model estimates at the fixed wavefields, each followed by a source-dual
+    step at the new model (alpha for prsm, the full ascent for admm).
+    Returns whether any model solve needed the singular-system shift."""
+    normal = None
+    for kern, u in zip(problem.kernels, state.u):
+        for s in range(problem.n_sources):
+            Lr = kern.scaled_mass(u[:, s]) @ problem.restriction
             contrib = Lr.conjugate().T @ Lr
-            normal_c = contrib if normal_c is None else normal_c + contrib
-        lrs.append(per_source)
-    normal = normal_c.real.tocsr()
+            normal = contrib if normal is None else normal + contrib
+    normal = normal.real.tocsr()
+    step = {Variant.WRI: None, Variant.ADMM: 1.0, Variant.PRSM: params.alpha}[params.variant]
+    duals = state.duals
 
-    for j in range(n_inner):
-        g = np.zeros(problem.grid.n)
-        for i, kern in enumerate(problem.kernels):
-            y = problem.sources[i] + state.duals.source[i] - kern.laplacian @ state.u[i]
-            for s in range(n_src):
-                g += np.real(lrs[i][s].conjugate().T @ y[:, s])
+    warned = False
+    for _ in range(params.inner_iterations):
+        rhs = sum(_mass_adjoint(kern, u, b + b_dual - kern.laplacian @ u)
+                  for kern, u, b, b_dual in zip(problem.kernels, state.u, problem.sources,
+                                                duals.source))
         try:
-            m_new, warn = estimate_model(normal, g, problem.lo, problem.hi, state.box,
+            m_new, warn = estimate_model(normal, rhs, problem.lo, problem.hi, state.box,
                                          ordering=problem.phys_ordering,
                                          mode=problem.bounds_mode)
         except FactorizationError as exc:
-            raise SolverError(f"model update failed: {exc}", iteration=k_before) from exc
-        model_warn = model_warn or warn
+            raise SolverError(f"model update failed: {exc}", iteration=state.k) from exc
+        if not np.all(np.isfinite(m_new) & (m_new > 0)):
+            raise SolverError(
+                f"iteration {state.k}: model at {problem.frequencies} Hz is not finite and "
+                f"strictly positive (min {np.min(m_new):.3e})",
+                frequency=problem.frequencies, iteration=state.k)
+        warned = warned or warn
         state.m_values = m_new
         state.assembled = [kern.assemble(m_new) for kern in problem.kernels]
-        if variant is Variant.PRSM:
-            for i in range(len(problem.kernels)):
-                residual = problem.sources[i] - state.assembled[i] @ state.u[i]
-                state.duals.source[i] = state.duals.source[i] + params.alpha * residual
+        if step is not None:
+            for i, b in enumerate(problem.sources):
+                duals.source[i] = update_source_dual(duals.source[i], b,
+                                                     state.assembled[i] @ state.u[i], step)
+    return warned
 
-    # ADMM: single full dual ascent after both primal updates
-    if variant is Variant.ADMM:
-        for i in range(len(problem.kernels)):
-            residual = problem.sources[i] - state.assembled[i] @ state.u[i]
-            state.duals.source[i] = state.duals.source[i] + residual
 
-    state.k = k_before + 1
+def inner_refine(problem, state, params):
+    """One outer cycle: ``params.inner_iterations`` repetitions of the
+    wavefield/dual phase at every frequency, then the same number of
+    model/dual repetitions."""
+    if len(params.lambdas) != len(problem.frequencies):
+        raise ShapeError("need one penalty weight per frequency")
+    if state.assembled is None:
+        state.assembled = [kern.assemble(state.m_values) for kern in problem.kernels]
+    first = state.k == 0
+    initial_sq = sum(_wavefield_phase(problem, state, params, i)
+                     for i in range(len(problem.kernels)))
+    model_warn = _model_phase(problem, state, params)
+    state.k += 1
 
-    pde_sq = np.empty(len(problem.kernels))
-    data_sq = np.empty(len(problem.kernels))
-    for i in range(len(problem.kernels)):
-        pde_sq[i] = float(np.sum(np.abs(problem.sources[i] - state.assembled[i] @ state.u[i]) ** 2))
-        data_sq[i] = float(np.sum(np.abs(problem.P @ state.u[i] - problem.observed[i]) ** 2))
+    pde_sq = np.array([float(np.sum(np.abs(b - A @ u) ** 2))
+                       for b, A, u in zip(problem.sources, state.assembled, state.u)])
+    data_sq = np.array([float(np.sum(np.abs(problem.P @ u - d) ** 2))
+                        for d, u in zip(problem.observed, state.u)])
     return CycleStats(
         data_misfit=float(np.sqrt(np.sum(data_sq))),
         pde_misfit=float(np.sqrt(np.sum(pde_sq))),
         data_misfit_per_freq=np.sqrt(data_sq),
         pde_misfit_per_freq=np.sqrt(pde_sq),
-        initial_pde_misfit=float(np.sqrt(initial_sq)) if k_before == 0 else None,
+        initial_pde_misfit=float(np.sqrt(initial_sq)) if first else None,
         model_warning=model_warn,
     )
-
-
-def prsm_cycle(problem, state, params):
-    """One outer cycle in the Algorithm order (single inner pass)."""
-    return _run_cycle(problem, state, params, n_inner=1)
-
-
-def inner_refine(problem, state, params):
-    """Outer cycle with ``params.inner_iterations`` repetitions of the
-    wavefield/dual phase followed by the same number of model/dual
-    repetitions; n = 1 is exactly ``prsm_cycle``."""
-    return _run_cycle(problem, state, params, n_inner=params.inner_iterations)
 
 
 def wavefield_error(problem, state):

@@ -289,7 +289,8 @@ class HelmholtzKernel:
         return m_values[self.topology.phys_of_pad]
 
     def scaled_mass(self, coeff):
-        """omega^2 * S * diag(coeff) as a sparse matrix."""
+        """omega^2 * S * diag(coeff) as a sparse matrix; for a wavefield u this
+        is the mass linearization L(u), with A(m) u = Lap u + L(u) m_pad."""
         coeff = np.asarray(coeff)
         if coeff.shape[0] != self.topology.n_pad:
             raise ShapeError(f"vector has length {coeff.shape[0]}, padded grid holds {self.topology.n_pad}")
@@ -302,30 +303,6 @@ class HelmholtzKernel:
         """A(m) for a physical squared-slowness vector."""
         return (self.laplacian + self.scaled_mass(self.pad_model(m_values))).tocsr()
 
-    def mass_linearization(self, u):
-        """L(u) with A(m) u = Lap u + L(u) m_pad exactly."""
-        return self.scaled_mass(u)
-
-
-@dataclass
-class HelmholtzOperator:
-    """Assembled A(m) plus the kernel it came from."""
-
-    kernel: HelmholtzKernel
-    matrix: sp.csr_matrix
-
-    @property
-    def omega(self):
-        return self.kernel.omega
-
-    @property
-    def grid_pad(self):
-        return self.kernel.topology.grid_pad
-
-    @property
-    def topology(self):
-        return self.kernel.topology
-
 
 def build_kernel(grid, omega, pml, scheme, v_ref=None):
     """Construct the frequency-specific kernel; unresolved PML configs need
@@ -337,30 +314,13 @@ def build_kernel(grid, omega, pml, scheme, v_ref=None):
     return HelmholtzKernel(grid, omega, pml, scheme)
 
 
-def assemble_helmholtz(m, omega, pml, scheme):
-    """Assemble A(m) on the padded grid.
-
-    An unresolved PML config is resolved against the model's fastest
-    velocity; inside the inversion the config is resolved once up front so
-    the damping never depends on the current model iterate.
-    """
-    v_ref = float(1.0 / np.sqrt(np.min(m.values)))
-    kernel = build_kernel(m.grid, omega, pml, scheme, v_ref=v_ref)
-    return HelmholtzOperator(kernel, kernel.assemble(m.values))
-
-
-def assemble_mass_linearization(kernel, u):
-    """Standalone L(u) for a wavefield on the padded grid."""
-    return kernel.mass_linearization(np.asarray(u))
-
-
-def forward_solve(operator, b):
+def forward_solve(A, b):
     """Direct solve A u = b (general sparse LU; A is non-Hermitian under PML)."""
     b = np.asarray(b)
-    if b.shape[0] != operator.matrix.shape[0]:
+    if b.shape[0] != A.shape[0]:
         raise ShapeError(f"source vector has length {b.shape[0]}, "
-                         f"operator dimension is {operator.matrix.shape[0]}")
-    return lu_factorize(operator.matrix).solve(b)
+                         f"operator dimension is {A.shape[0]}")
+    return lu_factorize(A).solve(b)
 
 
 def analytic_green_2d(grid, src, omega, v0):

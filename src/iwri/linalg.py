@@ -127,11 +127,6 @@ def factorize(H, ordering=None):
     return SparseFactorization("splu", n, np.complex128, lu=lu)
 
 
-def solve(factorization, rhs):
-    """Solve against a previously computed factorization."""
-    return factorization.solve(rhs)
-
-
 class LuFactorization:
     """General sparse LU (for the non-Hermitian forward operator); solves
     both A x = b and A^H x = b from the same factors."""

@@ -7,26 +7,12 @@ products so that results do not depend on the BLAS thread count.
 import numpy as np
 
 
-def l2(x):
-    """Deterministic Euclidean norm of an array of any shape."""
-    x = np.asarray(x)
-    return float(np.sqrt(np.sum(np.abs(x) ** 2)))
-
-
 def stacked_norm(arrays):
     """Frobenius norm of a collection of arrays stacked as one vector."""
     total = 0.0
     for a in arrays:
         total += float(np.sum(np.abs(np.asarray(a)) ** 2))
     return float(np.sqrt(total))
-
-
-def relative_error(x, ref):
-    """``||x - ref|| / ||ref||`` with the deterministic norm."""
-    denom = l2(ref)
-    if denom == 0.0:
-        return l2(x)
-    return l2(np.asarray(x) - np.asarray(ref)) / denom
 
 
 def axis_minor_ordering(n_rows, n_cols):

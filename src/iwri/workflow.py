@@ -134,6 +134,14 @@ class InversionSettings:
     reset_duals: bool = True
 
 
+def estimate_mu1(kernel, m_values, P, settings):
+    """Largest eigenvalue of A(m)^{-H} P^H P A(m)^{-1} by power iteration
+    on a sparse LU of A(m), with the run's tolerance, cap and seed."""
+    return power_iteration_mu1(lu_factorize(kernel.assemble(m_values)), P,
+                               tol=settings.mu1_tol, max_it=settings.mu1_max_it,
+                               seed=settings.seed)
+
+
 @dataclass
 class BatchInfo:
     frequencies: tuple
@@ -169,10 +177,8 @@ def run_batch(model_in, dataset, settings, criteria, *, m_true=None,
                                    bounds_mode=settings.bounds_mode)
 
     mu1, lambdas, mu_flags = [], [], []
-    for i, kern in enumerate(problem.kernels):
-        a_lu = lu_factorize(kern.assemble(model_in.values))
-        result = power_iteration_mu1(a_lu, problem.P, tol=settings.mu1_tol,
-                                     max_it=settings.mu1_max_it, seed=settings.seed)
+    for kern in problem.kernels:
+        result = estimate_mu1(kern, model_in.values, problem.P, settings)
         mu1.append(result.value)
         mu_flags.append(result.converged)
         lambdas.append(compute_lambda(result.value, settings.lambda_fraction))

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from iwri.errors import ParameterError, ShapeError
+from iwri.errors import ParameterError, ShapeError, SolverError
 from iwri.grid import Bounds, Grid2D, VelocityModel, velocity_to_slowness_sq
 from iwri.helmholtz import PmlConfig, StencilScheme
-from iwri.acquisition import AcquisitionGeometry, synthesize_data
+from iwri.acquisition import AcquisitionGeometry, add_noise, synthesize_data
 from iwri.engine import (BoxConstraintState, InversionProblem, PenaltyParams, Variant,
-                         estimate_model, init_state, inner_refine, prsm_cycle,
-                         reconstruct_wavefield, update_data_dual, update_source_dual,
-                         wri_gradient_m, wri_objective)
+                         estimate_model, init_state, inner_refine, reconstruct_wavefield,
+                         update_data_dual, update_source_dual, wri_gradient_m, wri_objective)
 from iwri.linalg import assemble_normal_matrix, factorize
+from iwri.presets import box_anomaly_setup
+from iwri.workflow import InversionSettings, compute_lambda, estimate_mu1
 
 
 def tiny_problem(seed=5, frequencies=(5.0, 8.0), bounds=None, nx=8, nz=6,
@@ -248,7 +249,7 @@ def test_cycle_stationary_at_truth():
         params = PenaltyParams(lambdas=(2.0, 2.0), alpha=0.5, variant=variant)
         state = init_state(problem, m_true.values)
         for _ in range(3):
-            prsm_cycle(problem, state, params)
+            inner_refine(problem, state, params)
         rel = np.linalg.norm(state.m_values - m_true.values) / np.linalg.norm(m_true.values)
         assert rel < 1e-6, f"{variant} drifted {rel}"
 
@@ -259,7 +260,7 @@ def test_cycle_dual_values_first_iteration():
     state = init_state(problem, np.full(problem.grid.n, 1.0 / 1850.0**2))
     m0 = state.m_values.copy()
     A0 = [k.assemble(m0) for k in problem.kernels]
-    prsm_cycle(problem, state, params)
+    inner_refine(problem, state, params)
     for i, kern in enumerate(problem.kernels):
         d = problem.observed[i]
         b = problem.sources[i]
@@ -279,7 +280,7 @@ def test_admm_running_sum_identity():
     sum_d = [np.zeros_like(problem.observed[i]) for i in range(2)]
     sum_b = [np.zeros((problem.n_pad, 1), dtype=complex) for _ in range(2)]
     for _ in range(5):
-        prsm_cycle(problem, state, params)
+        inner_refine(problem, state, params)
         for i, kern in enumerate(problem.kernels):
             A = kern.assemble(state.m_values)
             sum_d[i] += problem.observed[i] - problem.P @ state.u[i]
@@ -296,7 +297,7 @@ def test_wri_duals_stay_zero():
     params = PenaltyParams(lambdas=(3.0, 1.0), variant=Variant.WRI)
     state = init_state(problem, np.full(problem.grid.n, 1.0 / 1850.0**2))
     for _ in range(3):
-        prsm_cycle(problem, state, params)
+        inner_refine(problem, state, params)
     for i in range(2):
         assert np.all(state.duals.data[i] == 0.0)
         assert np.all(state.duals.source[i] == 0.0)
@@ -307,16 +308,10 @@ def test_inner_refine_reduces_to_cycle_and_counts_solves():
     m0 = np.full(problem.grid.n, 1.0 / 1850.0**2)
 
     params1 = PenaltyParams(lambdas=(3.0, 1.0), variant=Variant.PRSM, inner_iterations=1)
-    s_cycle = init_state(problem, m0.copy())
-    s_inner = init_state(problem, m0.copy())
+    s1 = init_state(problem, m0.copy())
     for _ in range(2):
-        prsm_cycle(problem, s_cycle, params1)
-        inner_refine(problem, s_inner, params1)
-    assert np.array_equal(s_cycle.m_values, s_inner.m_values)
-    for i in range(2):
-        assert np.array_equal(s_cycle.u[i], s_inner.u[i])
-        assert np.array_equal(s_cycle.duals.source[i], s_inner.duals.source[i])
-    assert s_cycle.pde_solve_count == s_inner.pde_solve_count == 2 * 2  # 2 freqs x 1 src x 2 cycles
+        inner_refine(problem, s1, params1)
+    assert s1.pde_solve_count == 2 * 2  # 2 freqs x 1 src x 2 cycles
 
     params3 = PenaltyParams(lambdas=(3.0, 1.0), variant=Variant.PRSM, inner_iterations=3)
     s3 = init_state(problem, m0.copy())
@@ -329,15 +324,21 @@ def test_admm_rejects_inner_iterations():
         PenaltyParams(lambdas=(1.0,), variant=Variant.ADMM, inner_iterations=2)
 
 
-def test_engine_matches_dense_reference():
-    """Four cycles against an independently coded dense PRSM reference."""
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_engine_matches_dense_reference(variant):
+    """Four cycles against an independently coded dense reference: wri
+    keeps both duals at zero; admm takes one full source ascent (alpha = 1)
+    after the model step; prsm takes alpha steps after both updates."""
     problem, m_true, dataset = tiny_problem(bounds=None, bounds_mode="clip")
-    lambdas, alpha, cycles = (3.0, 7.0), 0.5, 4
-    params = PenaltyParams(lambdas=lambdas, alpha=alpha, variant=Variant.PRSM)
+    lambdas, cycles = (3.0, 7.0), 4
+    params = PenaltyParams(lambdas=lambdas, alpha=0.5, variant=variant)
     state = init_state(problem, np.full(problem.grid.n, 1.0 / 1850.0**2))
     for _ in range(cycles):
         inner_refine(problem, state, params)
 
+    duals = variant is not Variant.WRI
+    mid_step = variant is Variant.PRSM
+    alpha = 0.5 if mid_step else 1.0
     P = problem.P.toarray()
     R = problem.restriction.toarray()
     m = np.full(problem.grid.n, 1.0 / 1850.0**2)
@@ -353,8 +354,10 @@ def test_engine_matches_dense_reference():
             u = np.linalg.solve(H, P.conj().T @ (d + d_dual[i])
                                 + lambdas[i] * A[i].conj().T @ (b + b_dual[i]))
             u_ref[i] = u
-            d_dual[i] = d_dual[i] + (d - P @ u)
-            b_dual[i] = b_dual[i] + alpha * (b - A[i] @ u)
+            if duals:
+                d_dual[i] = d_dual[i] + (d - P @ u)
+            if mid_step:
+                b_dual[i] = b_dual[i] + alpha * (b - A[i] @ u)
         GG, gg = np.zeros((problem.grid.n,) * 2), np.zeros(problem.grid.n)
         for i, kern in enumerate(problem.kernels):
             b = problem.sources[i][:, 0]
@@ -365,11 +368,14 @@ def test_engine_matches_dense_reference():
         m = np.linalg.solve(GG, gg)
         for i, kern in enumerate(problem.kernels):
             b = problem.sources[i][:, 0]
-            b_dual[i] = b_dual[i] + alpha * (b - kern.assemble(m).toarray() @ u_ref[i])
+            if duals:
+                b_dual[i] = b_dual[i] + alpha * (b - kern.assemble(m).toarray() @ u_ref[i])
 
     assert np.max(np.abs(state.m_values - m)) < 1e-9 * np.max(np.abs(m))
     for i in range(2):
         assert np.max(np.abs(state.u[i][:, 0] - u_ref[i])) < 1e-9 * np.max(np.abs(u_ref[i]))
+        assert np.max(np.abs(state.duals.data[i][:, 0] - d_dual[i])) \
+            < 1e-8 * max(np.max(np.abs(d_dual[i])), 1e-30)
         assert np.max(np.abs(state.duals.source[i][:, 0] - b_dual[i])) \
             < 1e-8 * max(np.max(np.abs(b_dual[i])), 1e-30)
 
@@ -384,6 +390,30 @@ def test_linearized_objective_identity(rng):
     for _ in range(5):
         m = rng.uniform(1.0 / 2200.0**2, 1.0 / 1500.0**2, problem.grid.n)
         direct = np.sum(np.abs(kern.assemble(m) @ u - b_eff) ** 2)
-        L = kern.mass_linearization(u)
+        L = kern.scaled_mass(u)
         linear = np.sum(np.abs(L @ kern.pad_model(m) - (b_eff - kern.laplacian @ u)) ** 2)
         assert abs(direct - linear) < 1e-12 * direct
+
+
+def test_nonpositive_model_iterate_fails_fast():
+    # unbounded clip mode on a very noisy box drives m below zero early;
+    # the cycle raises before the iterate is accepted
+    setup = box_anomaly_setup(nx=40, nz=28, dx=25.0)
+    m_true = velocity_to_slowness_sq(setup.true_model)
+    m0 = velocity_to_slowness_sq(setup.initial_model).values
+    settings = InversionSettings(bounds=None, bounds_mode="clip", lambda_fraction=1e-1)
+    dataset = add_noise(synthesize_data(m_true, setup.geometry, setup.frequencies,
+                                        settings.pml, settings.scheme, f0=setup.f0), -10.0, 0)
+    problem = InversionProblem(m_true.grid, settings.pml, settings.scheme, dataset,
+                               m_true=setup.true_model, reference_wavefields=False,
+                               bounds_mode="clip")
+    lambdas = [compute_lambda(estimate_mu1(k, m0, problem.P, settings).value,
+                              settings.lambda_fraction) for k in problem.kernels]
+    state = init_state(problem, m0)
+    with pytest.raises(SolverError) as info:
+        for _ in range(5):
+            inner_refine(problem, state, PenaltyParams(lambdas=lambdas))
+    assert info.value.iteration == state.k
+    assert info.value.frequency == setup.frequencies
+    assert "(2.5, 5.0, 7.0) Hz" in str(info.value)
+    assert np.all(state.m_values > 0)

@@ -12,6 +12,7 @@ from iwri.fileio import (load_config, read_convergence_csv, read_dataset, read_m
                          write_convergence_csv, write_dataset, write_model_file, write_raster)
 from iwri.workflow import ConvergenceRecord
 from iwri.cli import cli_dispatch
+from iwri.presets import box_anomaly_setup
 
 
 # -- model files ---------------------------------------------------------------
@@ -335,3 +336,16 @@ def test_cli_error_exit_codes(tmp_path):
     assert cli_dispatch(["frobnicate"]) == 1
     # help exits 0
     assert cli_dispatch(["--help"]) == 0
+    # non-positive model iterate (unbounded clip mode, very noisy data): numerical failure
+    setup = box_anomaly_setup(nx=40, nz=28, dx=25.0)
+    write_model_file(setup.true_model, tmp_path / "true.mod")
+    write_model_file(setup.initial_model, tmp_path / "init.mod")
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(
+        "true_model = true.mod\ninitial_model = init.mod\ndata = out/dataset.iwd\n"
+        + "sources = " + "; ".join(f"{x},{z}" for x, z in setup.geometry.sources) + "\n"
+        + "receivers = " + "; ".join(f"{x},{z}" for x, z in setup.geometry.receivers) + "\n"
+        + "frequencies = 2.5 5 7\nbounds_mode = clip\nsnr_db = -10\nlambda_fraction = 1e-1\n"
+        "k_max = 5\ndelta = 1e-300\neps_n = 1e-300\n")
+    assert cli_dispatch(["forward", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert cli_dispatch(["invert", "--config", str(cfg), "--out", str(tmp_path / "inv")]) == 2

@@ -5,7 +5,7 @@ import scipy.sparse as sp
 import iwri.linalg as la
 from iwri.errors import FactorizationError, ParameterError, ShapeError
 from iwri.linalg import (assemble_normal_matrix, factorize, lu_factorize,
-                         power_iteration_mu1, solve)
+                         power_iteration_mu1)
 
 
 def random_sparse(rng, rows, cols, density=0.3):
@@ -65,7 +65,7 @@ def hermitian_pd(rng, n):
 def test_factorize_identity_and_diagonal(rng):
     fact = factorize(sp.identity(5, format="csr", dtype=complex))
     rhs = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    assert np.allclose(solve(fact, rhs), rhs)
+    assert np.allclose(fact.solve(rhs), rhs)
 
     fact = factorize(sp.diags([2.0, 4.0]).tocsr())
     assert np.allclose(fact.solve(np.array([2.0, 4.0])), [1.0, 1.0])
