@@ -1,19 +1,9 @@
-"""Console-script entry point.
+"""Console-script entry point: hands over to the CLI."""
 
-Applies the IWRI_THREADS worker cap to the BLAS/OpenMP pools before numpy
-is imported, then hands over to the CLI.
-"""
-
-import os
 import sys
+
+from .cli import main
 
 
 def run():
-    cap = os.environ.get("IWRI_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
-    from .cli import main
-
     sys.exit(main(sys.argv[1:]))

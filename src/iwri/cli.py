@@ -19,6 +19,7 @@ import numpy as np
 
 from . import __version__
 from .acquisition import add_noise, build_observation, synthesize_data
+from .engine import resolve_pml
 from .errors import ConfigError, FactorizationError, FormatError, IwriError, SolverError
 from .fileio import (load_config, read_dataset, read_model_file, write_convergence_csv,
                      write_dataset, write_model_file, write_raster)
@@ -140,7 +141,7 @@ def _cmd_invert(args):
     write_raster(result.final_model.as_2d(), out_dir / "final_model.pgm")
     for br in result.batches:
         name = f"convergence_p{br.path}_b{br.batch_index}.csv"
-        write_convergence_csv(br.record, out_dir / name, include_wall_seconds=False)
+        write_convergence_csv(br.record, out_dir / name)
     _write_metadata(out_dir, {
         "command": "invert",
         "config": config.resolved(),
@@ -158,8 +159,9 @@ def _cmd_mu1(args):
     model_key = "initial_model" if config.has("initial_model") else "true_model"
     model = read_model_file(config.path(model_key))
     m = velocity_to_slowness_sq(model)
-    pml = config.pml().resolved(model.grid, float(np.max(model.values)))
+    m_true = read_model_file(config.path("true_model")) if config.has("true_model") else None
     settings = config.settings()
+    pml = resolve_pml(settings.pml, model.grid, settings.bounds, m_true)
     kernel = build_kernel(model.grid, 2.0 * math.pi * args.freq, pml, settings.scheme)
     P = build_observation(kernel.topology, config.geometry().receivers)
     est = estimate_mu1(kernel, m.values, P, settings)
@@ -201,7 +203,7 @@ def _cmd_scan_lambda(args):
         _, record, info = run_batch(m0, dataset, settings, criteria, m_true=m_true,
                                     pde_stop_fraction=1e-3)
         tag = f"{fraction:.3e}".replace("+", "")
-        write_convergence_csv(record, out_dir / f"scan_{tag}.csv", include_wall_seconds=False)
+        write_convergence_csv(record, out_dir / f"scan_{tag}.csv")
         err = record.model_error[-1]
         summary.append(",".join([
             repr(fraction), str(info.iterations), info.stop_reason.value,

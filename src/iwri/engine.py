@@ -111,6 +111,21 @@ class CycleStats:
     model_warning: bool = False
 
 
+def resolve_pml(pml, grid, bounds, m_true):
+    """Fix an unresolved PML config with the reference velocity of the
+    inversion: the upper velocity bound, else the true model's maximum."""
+    if pml.max_damping is not None:
+        return pml
+    if bounds is not None:
+        v_ref = bounds.v_max
+    elif m_true is not None:
+        v_ref = float(np.max(m_true.values))
+    else:
+        raise ParameterError("unresolved PML config needs bounds or a true model "
+                             "to fix the damping rule")
+    return pml.resolved(grid, v_ref)
+
+
 class InversionProblem:
     """Frozen per-batch setup: kernels, observation operator, sources,
     observed data, bounds, and reference fields for error tracking."""
@@ -126,17 +141,8 @@ class InversionProblem:
         self.observed = [d.copy() for d in dataset.data]
         self.noise_level = dataset.noise_level.copy()
 
-        if pml.max_damping is None:
-            if bounds is not None:
-                v_ref = bounds.v_max
-            elif m_true is not None:
-                v_ref = float(np.max(m_true.values))
-            else:
-                raise ParameterError("unresolved PML config needs bounds or a true model "
-                                     "to fix the damping rule")
-            pml = pml.resolved(grid, v_ref)
-        self.pml = pml
-        self.kernels = [build_kernel(grid, 2.0 * np.pi * f, pml, scheme)
+        self.pml = resolve_pml(pml, grid, bounds, m_true)
+        self.kernels = [build_kernel(grid, 2.0 * np.pi * f, self.pml, scheme)
                         for f in dataset.frequencies]
         topo = self.kernels[0].topology
         self.topology = topo
@@ -243,8 +249,7 @@ def wri_gradient_m(kernel, m_values, u, b_eff):
     return _mass_adjoint(kernel, u, kernel.assemble(m_values) @ u - b_eff)
 
 
-def estimate_model(normal, rhs, lo, hi, box, *, ordering=None, mode="bregman",
-                   eps_reg=1e-12):
+def estimate_model(normal, rhs, lo, hi, box, *, ordering=None, mode="bregman"):
     """Solve the accumulated model normal equations under box bounds.
 
     ``bregman`` performs one split-Bregman pass (solve + clip + dual step)
@@ -274,9 +279,7 @@ def estimate_model(normal, rhs, lo, hi, box, *, ordering=None, mode="bregman",
         m_raw = fact.solve(full_rhs)
     except FactorizationError:
         warn = True
-        shift = eps_reg * (diag_mean if diag_mean > 0 else 1.0)
-        if shift <= 0:
-            shift = eps_reg
+        shift = 1e-12 * (diag_mean if diag_mean > 0 else 1.0)
         warnings.warn("singular model normal matrix, applying diagonal shift")
         fact = factorize(system + shift * sp.identity(n, format="csr"), ordering=ordering)
         m_raw = fact.solve(full_rhs)

@@ -152,21 +152,16 @@ def _csv_cell(value):
     return str(value)
 
 
-def write_convergence_csv(record, path, include_wall_seconds=True):
+def write_convergence_csv(record, path):
     """Header plus one row per iteration, full round-trip float precision.
 
-    Wall-clock timing can be excluded so that repeated runs of the same
-    configuration emit byte-identical files.
+    No wall-clock column, so that repeated runs of the same configuration
+    emit byte-identical files.
     """
-    cols = ["k", "data_misfit", "pde_misfit", "model_error", "wavefield_error", "pde_solves"]
-    if include_wall_seconds:
-        cols.append("wall_seconds")
-    lines = [",".join(cols)]
+    lines = ["k,data_misfit,pde_misfit,model_error,wavefield_error,pde_solves"]
     for i in range(len(record)):
         row = [record.k[i], record.data_misfit[i], record.pde_misfit[i],
                record.model_error[i], record.wavefield_error[i], record.pde_solves[i]]
-        if include_wall_seconds:
-            row.append(record.wall_seconds[i])
         lines.append(",".join(_csv_cell(v) for v in row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
@@ -188,7 +183,6 @@ def read_convergence_csv(path):
             float(cells["model_error"]) if cells.get("model_error") else None,
             float(cells["wavefield_error"]) if cells.get("wavefield_error") else None,
             int(cells["pde_solves"]),
-            float(cells["wall_seconds"]) if cells.get("wall_seconds") else 0.0,
         )
     return record
 

@@ -42,25 +42,17 @@ def assemble_normal_matrix(A, P, lam):
     return H
 
 
-def _bandwidth(rows, cols, order):
-    if order is None:
-        return int(np.max(np.abs(rows - cols))) if rows.size else 0
-    inv = np.empty(order.size, dtype=np.int64)
-    inv[order] = np.arange(order.size)
-    return int(np.max(np.abs(inv[rows] - inv[cols]))) if rows.size else 0
-
-
 class SparseFactorization:
     """Immutable factorization of a sparse Hermitian positive definite
     matrix, reusable for any number of right-hand sides."""
 
-    def __init__(self, backend, n, dtype, *, band=None, order=None, lu=None):
+    def __init__(self, backend, n, dtype, *, band=None, order=None, inv_order=None, lu=None):
         self._backend = backend
         self.n = n
         self.dtype = dtype
         self._band = band
         self._order = order
-        self._inv_order = None if order is None else np.argsort(order)
+        self._inv_order = inv_order
         self._lu = lu
         self._lock = threading.Lock() if lu is not None else None
 
@@ -82,42 +74,38 @@ def factorize(H, ordering=None):
     """Factor a sparse Hermitian (numerically positive definite) matrix.
 
     ``ordering`` optionally supplies a bandwidth-reducing permutation
-    (perm[new] = old); the natural order and the permuted order are
-    compared and the narrower band wins.  Falls back to sparse LU when
-    banded storage would be too large.
+    (perm[new] = old), which the banded factor uses as given.  Falls back
+    to sparse LU when banded storage would be too large.
     """
     H = sp.csr_matrix(H)
     if H.shape[0] != H.shape[1]:
         raise ShapeError(f"matrix must be square, got {H.shape}")
     n = H.shape[0]
     coo = H.tocoo()
-
-    candidates = [(None, _bandwidth(coo.row, coo.col, None))]
+    rows, cols = coo.row, coo.col
+    inv = None
     if ordering is not None:
         ordering = np.asarray(ordering, dtype=np.int64)
         if ordering.size != n:
             raise ShapeError("ordering length does not match matrix dimension")
-        candidates.append((ordering, _bandwidth(coo.row, coo.col, ordering)))
-    order, bw = min(candidates, key=lambda c: c[1])
+        inv = np.argsort(ordering)
+        rows, cols = inv[rows], inv[cols]
+    bw = int(np.max(np.abs(rows - cols))) if rows.size else 0
 
     real = not np.iscomplexobj(H.data)
     itemsize = 8 if real else 16
     if (bw + 1) * n * itemsize <= _MAX_BAND_BYTES:
-        if order is None:
-            rows, cols, data = coo.row, coo.col, coo.data
-        else:
-            inv = np.argsort(order)
-            rows, cols, data = inv[coo.row], inv[coo.col], coo.data
         band = np.zeros((bw + 1, n), dtype=np.float64 if real else np.complex128)
         lower = rows >= cols
-        band[rows[lower] - cols[lower], cols[lower]] = data[lower]
+        band[rows[lower] - cols[lower], cols[lower]] = coo.data[lower]
         try:
             cb = sla.cholesky_banded(band, lower=True, overwrite_ab=True, check_finite=False)
         except np.linalg.LinAlgError as exc:
             match = re.search(r"(\d+)", str(exc))
             pivot = int(match.group(1)) - 1 if match else None
             raise FactorizationError(f"banded Cholesky breakdown: {exc}", pivot_index=pivot) from exc
-        return SparseFactorization("banded", n, band.dtype, band=cb, order=order)
+        return SparseFactorization("banded", n, band.dtype, band=cb, order=ordering,
+                                   inv_order=inv)
 
     try:
         lu = spla.splu(H.tocsc().astype(np.complex128), permc_spec="MMD_AT_PLUS_A",

@@ -2,8 +2,7 @@
 per-batch iteration driver and multi-path frequency continuation."""
 
 import enum
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -14,11 +13,14 @@ from .grid import SlownessSqModel, slowness_sq_to_velocity, velocity_to_slowness
 from .helmholtz import PmlConfig, StencilScheme
 from .linalg import lu_factorize, power_iteration_mu1
 
+# Power-iteration cap for mu1; hitting it is reported, not an error.
+_MU1_MAX_IT = 500
+
 
 @dataclass
 class ConvergenceRecord:
     """Per-iteration diagnostics: misfits, model/wavefield errors (when a
-    reference is available), cumulative PDE-solve count and wall time."""
+    reference is available) and the cumulative PDE-solve count."""
 
     k: list = field(default_factory=list)
     data_misfit: list = field(default_factory=list)
@@ -26,17 +28,14 @@ class ConvergenceRecord:
     model_error: list = field(default_factory=list)
     wavefield_error: list = field(default_factory=list)
     pde_solves: list = field(default_factory=list)
-    wall_seconds: list = field(default_factory=list)
 
-    def append(self, k, data_misfit, pde_misfit, model_err, wavefield_err,
-               pde_solves, wall_seconds):
+    def append(self, k, data_misfit, pde_misfit, model_err, wavefield_err, pde_solves):
         self.k.append(int(k))
         self.data_misfit.append(float(data_misfit))
         self.pde_misfit.append(float(pde_misfit))
         self.model_error.append(None if model_err is None else float(model_err))
         self.wavefield_error.append(None if wavefield_err is None else float(wavefield_err))
         self.pde_solves.append(int(pde_solves))
-        self.wall_seconds.append(float(wall_seconds))
 
     def __len__(self):
         return len(self.k)
@@ -101,7 +100,6 @@ class ContinuationPlan:
 
     batches: tuple
     paths: tuple = (0,)
-    k_max_per_batch: tuple | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "batches", tuple(tuple(float(f) for f in b) for b in self.batches))
@@ -112,8 +110,6 @@ class ContinuationPlan:
             raise ConfigError("continuation plan needs at least one path")
         if any(not 0 <= p < len(self.batches) for p in self.paths):
             raise ConfigError("path start index outside the batch list")
-        if self.k_max_per_batch is not None and len(self.k_max_per_batch) != len(self.batches):
-            raise ConfigError("need one k_max per batch when overriding")
 
 
 @dataclass(frozen=True)
@@ -129,52 +125,43 @@ class InversionSettings:
     pml: PmlConfig = PmlConfig()
     scheme: StencilScheme = StencilScheme()
     mu1_tol: float = 1e-4
-    mu1_max_it: int = 500
     seed: int = 1234
-    reset_duals: bool = True
 
 
 def estimate_mu1(kernel, m_values, P, settings):
     """Largest eigenvalue of A(m)^{-H} P^H P A(m)^{-1} by power iteration
-    on a sparse LU of A(m), with the run's tolerance, cap and seed."""
+    on a sparse LU of A(m), with the run's tolerance and seed."""
     return power_iteration_mu1(lu_factorize(kernel.assemble(m_values)), P,
-                               tol=settings.mu1_tol, max_it=settings.mu1_max_it,
+                               tol=settings.mu1_tol, max_it=_MU1_MAX_IT,
                                seed=settings.seed)
 
 
 @dataclass
 class BatchInfo:
-    frequencies: tuple
     mu1: list
     lambdas: list
     mu1_converged: list
-    initial_pde_misfit: float | None
+    initial_pde_misfit: float
     stop_reason: StopReason
     iterations: int
-    iterations_to_threshold: int | None
-    state: object
 
 
 def run_batch(model_in, dataset, settings, criteria, *, m_true=None,
-              pde_stop_fraction=None, problem=None, min_iterations=0,
-              initial_duals=None):
+              pde_stop_fraction=None):
     """Iterate outer cycles on one frequency batch until the stopping rule
     fires.
 
-    Duals start from zero (fresh constraint history per batch) unless
-    ``initial_duals`` provides carried-over values keyed by frequency.  When
+    Duals start from zero (fresh constraint history per batch).  When
     ``pde_stop_fraction`` is set, iteration additionally stops once the
     wave-equation misfit drops below that fraction of the first iterate's
-    misfit (used by the sensitivity studies); ``min_iterations`` can force
-    the trajectory past the stopping rule for fixed-budget comparisons.
+    misfit (used by the sensitivity studies).
     """
     if not isinstance(model_in, SlownessSqModel):
         raise ParameterError("run_batch expects a squared-slowness model")
     grid = model_in.grid
-    if problem is None:
-        problem = InversionProblem(grid, settings.pml, settings.scheme, dataset,
-                                   bounds=settings.bounds, m_true=m_true,
-                                   bounds_mode=settings.bounds_mode)
+    problem = InversionProblem(grid, settings.pml, settings.scheme, dataset,
+                               bounds=settings.bounds, m_true=m_true,
+                               bounds_mode=settings.bounds_mode)
 
     mu1, lambdas, mu_flags = [], [], []
     for kern in problem.kernels:
@@ -187,41 +174,23 @@ def run_batch(model_in, dataset, settings, criteria, *, m_true=None,
                            inner_iterations=settings.inner_iterations)
 
     state = init_state(problem, model_in.values)
-    if initial_duals:
-        for i, f in enumerate(problem.frequencies):
-            if f in initial_duals:
-                d_prev, b_prev = initial_duals[f]
-                state.duals.data[i] = d_prev.copy()
-                state.duals.source[i] = b_prev.copy()
     record = ConvergenceRecord()
     initial_pde = None
-    reached_threshold = None
     reason = StopReason.CONTINUE
-    t0 = time.perf_counter()
-    while True:
+    while reason is StopReason.CONTINUE:
         stats = inner_refine(problem, state, params)
         if stats.initial_pde_misfit is not None:
             initial_pde = stats.initial_pde_misfit
         record.append(state.k, stats.data_misfit, stats.pde_misfit,
                       model_error(problem, state), wavefield_error(problem, state),
-                      state.pde_solve_count, time.perf_counter() - t0)
-        if (reached_threshold is None and pde_stop_fraction is not None
-                and initial_pde is not None
-                and stats.pde_misfit <= pde_stop_fraction * initial_pde):
-            reached_threshold = state.k
+                      state.pde_solve_count)
         reason = check_stop(state.k, stats, criteria, problem.noise_level)
-        if state.k < min_iterations:
-            continue
-        if reason is not StopReason.CONTINUE:
-            break
-        if reached_threshold is not None and pde_stop_fraction is not None:
+        if (reason is StopReason.CONTINUE and pde_stop_fraction is not None
+                and stats.pde_misfit <= pde_stop_fraction * initial_pde):
             reason = StopReason.THRESHOLD
-            break
 
-    info = BatchInfo(frequencies=problem.frequencies, mu1=mu1, lambdas=lambdas,
-                     mu1_converged=mu_flags, initial_pde_misfit=initial_pde,
-                     stop_reason=reason, iterations=state.k,
-                     iterations_to_threshold=reached_threshold, state=state)
+    info = BatchInfo(mu1=mu1, lambdas=lambdas, mu1_converged=mu_flags,
+                     initial_pde_misfit=initial_pde, stop_reason=reason, iterations=state.k)
     return SlownessSqModel(grid, state.m_values.copy()), record, info
 
 
@@ -247,7 +216,6 @@ def run_inversion(model0, plan, dataset, settings, criteria, *, m_true=None):
     m_cur = velocity_to_slowness_sq(model0)
     batches_out = []
     per_path_iterations = []
-    carried = {}
     for p, start in enumerate(plan.paths):
         path_iterations = 0
         for bi in range(start, len(plan.batches)):
@@ -256,19 +224,11 @@ def run_inversion(model0, plan, dataset, settings, criteria, *, m_true=None):
                 indices = [dataset.frequencies.index(f) for f in wanted]
             except ValueError as exc:
                 raise ConfigError(f"batch frequency missing from dataset: {exc}") from exc
-            sub = dataset.subset(indices)
-            crit = criteria
-            if plan.k_max_per_batch is not None:
-                crit = replace(criteria, k_max=plan.k_max_per_batch[bi])
-            model_out, record, info = run_batch(
-                m_cur, sub, settings, crit, m_true=m_true,
-                initial_duals=None if settings.reset_duals else carried)
+            model_out, record, info = run_batch(m_cur, dataset.subset(indices), settings,
+                                                criteria, m_true=m_true)
             batches_out.append(BatchRecord(p, bi, tuple(wanted), record, info))
             path_iterations += info.iterations
             m_cur = model_out
-            if not settings.reset_duals:
-                for i, f in enumerate(info.frequencies):
-                    carried[f] = (info.state.duals.data[i], info.state.duals.source[i])
         per_path_iterations.append(path_iterations)
 
     metadata = {
@@ -277,7 +237,6 @@ def run_inversion(model0, plan, dataset, settings, criteria, *, m_true=None):
         "inner_iterations": settings.inner_iterations,
         "lambda_fraction": settings.lambda_fraction,
         "seed": settings.seed,
-        "reset_duals": settings.reset_duals,
         "bounds": None if settings.bounds is None else
                   {"v_min": settings.bounds.v_min, "v_max": settings.bounds.v_max},
         "bounds_mode": settings.bounds_mode,

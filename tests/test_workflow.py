@@ -128,7 +128,7 @@ def test_run_batch_threshold_stop():
     model, record, info = run_batch(m0, dataset, settings, criteria, m_true=v_true,
                                     pde_stop_fraction=0.5)
     assert info.stop_reason is StopReason.THRESHOLD
-    assert info.iterations_to_threshold == info.iterations
+    assert len(record) == info.iterations
     assert record.pde_misfit[-1] <= 0.5 * info.initial_pde_misfit
 
 
@@ -166,20 +166,6 @@ def test_run_inversion_multi_path_threading():
         model_out, _, _ = run_batch(m_cur, sub, settings, criteria, m_true=v_true)
         m_cur = model_out
     assert np.array_equal(result.final_model.values, 1.0 / np.sqrt(m_cur.values))
-
-
-def test_run_inversion_dual_carry_over():
-    from dataclasses import replace as dc_replace
-
-    v_true, dataset, settings = small_setup()
-    m0_model = build_homogeneous(v_true.grid, 1850.0)
-    criteria = StoppingCriteria(k_max=2, delta=1e-16, eps_n=1e-16)
-    plan = ContinuationPlan(batches=((5.0,), (5.0, 8.0)), paths=(0,))
-    keep = dc_replace(settings, reset_duals=False)
-    carried = run_inversion(m0_model, plan, dataset, keep, criteria, m_true=v_true)
-    fresh = run_inversion(m0_model, plan, dataset, settings, criteria, m_true=v_true)
-    # the 5 Hz duals from batch 0 seed batch 1, changing the trajectory
-    assert not np.array_equal(carried.final_model.values, fresh.final_model.values)
 
 
 def test_run_inversion_determinism():
