@@ -18,7 +18,7 @@ auxiliary/dual pair, one pass per outer cycle.
 """
 
 import enum
-import warnings
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +28,7 @@ from .errors import ParameterError, ShapeError, SolverError
 from .grid import velocity_to_slowness_sq
 from .helmholtz import build_kernel, forward_solve
 from .acquisition import build_observation, build_source
-from .linalg import FactorizationError, assemble_normal_matrix, factorize
+from .linalg import BandLayout, FactorizationError, assemble_normal_matrix, factorize
 from .util import axis_minor_ordering, stacked_norm
 
 
@@ -147,6 +147,7 @@ class InversionProblem:
         topo = self.kernels[0].topology
         self.topology = topo
         self.P = build_observation(topo, self.geometry.receivers)
+        self.PhP = self.P.conjugate().T @ self.P
         self.sources = []
         for i, _f in enumerate(dataset.frequencies):
             amp = dataset.source_scale[i]
@@ -159,9 +160,10 @@ class InversionProblem:
         else:
             self.lo, self.hi = -np.inf, np.inf
 
-        gp = topo.grid_pad
-        self.pad_ordering = axis_minor_ordering(gp.nz, gp.nx) if gp.nz < gp.nx else None
-        self.phys_ordering = axis_minor_ordering(grid.nz, grid.nx) if grid.nz < grid.nx else None
+        def layout(g):  # one per ordering, shared by every frequency's system
+            return BandLayout(g.n, axis_minor_ordering(g.nz, g.nx) if g.nz < g.nx else None)
+
+        self.pad_ordering, self.phys_ordering = layout(topo.grid_pad), layout(grid)
         n_pad = topo.n_pad
         self.restriction = sp.csr_matrix(
             (np.ones(n_pad), (np.arange(n_pad), topo.phys_of_pad)),
@@ -280,10 +282,10 @@ def estimate_model(normal, rhs, lo, hi, box, *, ordering=None, mode="bregman"):
     except FactorizationError:
         warn = True
         shift = 1e-12 * (diag_mean if diag_mean > 0 else 1.0)
-        warnings.warn("singular model normal matrix, applying diagonal shift")
+        logging.getLogger(__name__).warning("singular model normal matrix, applying diagonal shift")
         fact = factorize(system + shift * sp.identity(n, format="csr"), ordering=ordering)
         m_raw = fact.solve(full_rhs)
-    m_raw = np.asarray(m_raw, dtype=float)
+    m_raw = np.asarray(np.real(m_raw), dtype=float)  # the SuperLU path solves in complex
 
     if mode == "bregman":
         box.p = np.clip(m_raw + box.q, lo, hi)
@@ -304,7 +306,7 @@ def _wavefield_phase(problem, state, params, i):
     d, b = problem.observed[i], problem.sources[i]
     duals = state.duals
     try:
-        fact = factorize(assemble_normal_matrix(A, problem.P, lam),
+        fact = factorize(assemble_normal_matrix(A, problem.P, lam, gram=problem.PhP),
                          ordering=problem.pad_ordering)
     except FactorizationError as exc:
         raise SolverError(f"wavefield normal-matrix factorization failed: {exc}",

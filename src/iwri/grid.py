@@ -9,7 +9,6 @@ exactly ``nx * dx`` meters.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .errors import GeometryError, InvalidModelError
 
@@ -173,6 +172,7 @@ def gaussian_smooth(model, corr_x, corr_z):
         raise InvalidModelError("correlation lengths must be nonnegative")
     if corr_x == 0 and corr_z == 0:
         return VelocityModel(model.grid, model.values.copy())
+    from scipy.ndimage import gaussian_filter  # imported here: slow, off the CLI path
     grid = model.grid
     sig = (corr_z / grid.dz, corr_x / grid.dx)
     smoothed = gaussian_filter(model.as_2d(), sigma=sig, mode="reflect")

@@ -31,7 +31,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import hankel1
 
 from .errors import ParameterError, ShapeError
 from .grid import Grid2D
@@ -333,6 +332,7 @@ def analytic_green_2d(grid, src, omega, v0):
     """
     if v0 <= 0 or omega <= 0:
         raise ParameterError("analytic field needs positive velocity and frequency")
+    from scipy.special import hankel1  # imported here: slow, off the CLI path
     k = omega / v0
     xs, zs = src
     x = grid.x_centers()[np.newaxis, :] - xs

@@ -25,9 +25,10 @@ from .errors import FactorizationError, ParameterError, ShapeError
 _MAX_BAND_BYTES = 512 * 2**20
 
 
-def assemble_normal_matrix(A, P, lam):
+def assemble_normal_matrix(A, P, lam, *, gram=None):
     """H = P^H P + lam * A^H A, Hermitian positive definite for lam > 0
-    and invertible A."""
+    and invertible A.  ``gram`` is P^H P when the caller holds it.  H keeps
+    the format and index order the sparse product gives it."""
     if A.shape[0] != A.shape[1]:
         raise ShapeError(f"A must be square, got {A.shape}")
     if P.shape[1] != A.shape[0]:
@@ -35,24 +36,59 @@ def assemble_normal_matrix(A, P, lam):
     if not lam > 0:
         raise ParameterError(f"penalty weight must be positive, got {lam}")
     A = sp.csr_matrix(A)
-    P = sp.csr_matrix(P)
-    H = (P.conjugate().T @ P) + lam * (A.conjugate().T @ A)
-    H = sp.csr_matrix(H)
-    H.sum_duplicates()
-    return H
+    if gram is None:
+        P = sp.csr_matrix(P)
+        gram = P.conjugate().T @ P
+    return gram + lam * (A.conjugate().T @ A)
+
+
+class BandLayout:
+    """Symbolic half of a banded Cholesky for one ordering (perm[new] = old):
+    the inverse permutation and, for the first sparsity pattern it is used
+    on, the bandwidth and the band position of each lower-triangle entry of
+    ``H.data``.  ``np.asarray(layout)`` is the ordering."""
+
+    def __init__(self, n, ordering=None):
+        self.n = n
+        self.order = np.arange(n) if ordering is None else np.asarray(ordering, dtype=np.int64)
+        if self.order.size != n:
+            raise ShapeError("ordering length does not match matrix dimension")
+        self.inv = np.argsort(self.order)
+        self._pattern = None  # (format, indptr, indices, positions) once bound
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self.order, dtype=dtype)
+
+    def positions(self, H):
+        """(bandwidth, src, dst) with ``band.ravel("F")[dst] = H.data[src]``
+        for a csr or csc ``H``: the stored ones when ``H`` has the bound
+        pattern, else computed for ``H`` (and stored if none is bound)."""
+        pattern = self._pattern
+        if (pattern is not None and H.format == pattern[0]
+                and np.array_equal(H.indptr, pattern[1]) and np.array_equal(H.indices, pattern[2])):
+            return pattern[3]
+        major = np.repeat(np.arange(self.n), np.diff(H.indptr))
+        rows, cols = (major, H.indices) if H.format == "csr" else (H.indices, major)
+        rows, cols = self.inv[rows], self.inv[cols]
+        bandwidth = int(np.max(np.abs(rows - cols))) if rows.size else 0
+        src = np.flatnonzero(rows >= cols)
+        dst = cols[src] * (bandwidth + 1) + rows[src] - cols[src]
+        index = np.int32 if 2 * (bandwidth + 1) * self.n < 2**31 else np.int64  # > nnz, > dst
+        positions = (bandwidth, src.astype(index), dst.astype(index))
+        if pattern is None:
+            self._pattern = (H.format, H.indptr.copy(), H.indices.copy(), positions)
+        return positions
 
 
 class SparseFactorization:
     """Immutable factorization of a sparse Hermitian positive definite
     matrix, reusable for any number of right-hand sides."""
 
-    def __init__(self, backend, n, dtype, *, band=None, order=None, inv_order=None, lu=None):
+    def __init__(self, backend, n, *, band=None, layout=None, lu=None):
         self._backend = backend
         self.n = n
-        self.dtype = dtype
         self._band = band
-        self._order = order
-        self._inv_order = inv_order
+        self._layout = layout
         self._lu = lu
         self._lock = threading.Lock() if lu is not None else None
 
@@ -61,11 +97,9 @@ class SparseFactorization:
         if rhs.shape[0] != self.n:
             raise ShapeError(f"right-hand side has length {rhs.shape[0]}, expected {self.n}")
         if self._backend == "banded":
-            b = rhs if self._order is None else rhs[self._order]
-            x = sla.cho_solve_banded((self._band, True), b, check_finite=False)
-            if self._order is not None:
-                x = x[self._inv_order]
-            return x
+            x = sla.cho_solve_banded((self._band, True), rhs[self._layout.order],
+                                     check_finite=False)
+            return x[self._layout.inv]
         with self._lock:
             return self._lu.solve(np.ascontiguousarray(rhs, dtype=np.complex128))
 
@@ -74,45 +108,38 @@ def factorize(H, ordering=None):
     """Factor a sparse Hermitian (numerically positive definite) matrix.
 
     ``ordering`` optionally supplies a bandwidth-reducing permutation
-    (perm[new] = old), which the banded factor uses as given.  Falls back
-    to sparse LU when banded storage would be too large.
+    (perm[new] = old), which the banded factor uses as given, or a
+    ``BandLayout`` holding one.  Falls back to sparse LU when banded
+    storage would be too large.
     """
-    H = sp.csr_matrix(H)
+    H = H if sp.issparse(H) and H.format == "csc" else sp.csr_matrix(H)
     if H.shape[0] != H.shape[1]:
         raise ShapeError(f"matrix must be square, got {H.shape}")
     n = H.shape[0]
-    coo = H.tocoo()
-    rows, cols = coo.row, coo.col
-    inv = None
-    if ordering is not None:
-        ordering = np.asarray(ordering, dtype=np.int64)
-        if ordering.size != n:
-            raise ShapeError("ordering length does not match matrix dimension")
-        inv = np.argsort(ordering)
-        rows, cols = inv[rows], inv[cols]
-    bw = int(np.max(np.abs(rows - cols))) if rows.size else 0
+    layout = ordering
+    if not (isinstance(layout, BandLayout) and layout.n == n):
+        layout = BandLayout(n, ordering)
+    bandwidth, src, dst = layout.positions(H)
 
-    real = not np.iscomplexobj(H.data)
-    itemsize = 8 if real else 16
-    if (bw + 1) * n * itemsize <= _MAX_BAND_BYTES:
-        band = np.zeros((bw + 1, n), dtype=np.float64 if real else np.complex128)
-        lower = rows >= cols
-        band[rows[lower] - cols[lower], cols[lower]] = coo.data[lower]
+    dtype = np.dtype(complex if np.iscomplexobj(H.data) else float)
+    if (bandwidth + 1) * n * dtype.itemsize <= _MAX_BAND_BYTES:
+        flat = np.zeros((bandwidth + 1) * n, dtype=dtype)  # a fresh band per factorization
+        flat[dst] = H.data[src]
+        band = flat.reshape((bandwidth + 1, n), order="F")  # the layout LAPACK reads
         try:
             cb = sla.cholesky_banded(band, lower=True, overwrite_ab=True, check_finite=False)
         except np.linalg.LinAlgError as exc:
             match = re.search(r"(\d+)", str(exc))
             pivot = int(match.group(1)) - 1 if match else None
             raise FactorizationError(f"banded Cholesky breakdown: {exc}", pivot_index=pivot) from exc
-        return SparseFactorization("banded", n, band.dtype, band=cb, order=ordering,
-                                   inv_order=inv)
+        return SparseFactorization("banded", n, band=cb, layout=layout)
 
     try:
         lu = spla.splu(H.tocsc().astype(np.complex128), permc_spec="MMD_AT_PLUS_A",
                        diag_pivot_thresh=0.01, options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise FactorizationError(f"sparse LU breakdown: {exc}") from exc
-    return SparseFactorization("splu", n, np.complex128, lu=lu)
+    return SparseFactorization("splu", n, lu=lu)
 
 
 class LuFactorization:

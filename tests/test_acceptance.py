@@ -294,6 +294,7 @@ def test_criterion_06_refinement_form_equivalence():
     assert worst < 1e-12
 
 
+@pytest.mark.slow
 def test_criterion_07_box_convergence_ranking(box):
     t0 = time.perf_counter()
     wri = box.run("wri", Variant.WRI, cycles=100)
@@ -342,6 +343,7 @@ def test_criterion_07_box_convergence_ranking(box):
     assert ok_b, detail_b
 
 
+@pytest.mark.slow
 def test_criterion_08_prsm_vs_admm(box):
     # protocol: threshold 1e-3 of the shared first-iterate misfit, both runs
     # capped at 400 cycles (counts compared at the cap when neither reaches it)

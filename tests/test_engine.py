@@ -4,10 +4,12 @@ import pytest
 from iwri.errors import ParameterError, ShapeError, SolverError
 from iwri.grid import Bounds, Grid2D, VelocityModel, velocity_to_slowness_sq
 from iwri.helmholtz import PmlConfig, StencilScheme
-from iwri.acquisition import AcquisitionGeometry, add_noise, synthesize_data
+from iwri.acquisition import AcquisitionGeometry, FrequencyDataset, add_noise, synthesize_data
 from iwri.engine import (BoxConstraintState, InversionProblem, PenaltyParams, Variant,
                          estimate_model, init_state, inner_refine, reconstruct_wavefield,
                          update_data_dual, update_source_dual, wri_gradient_m, wri_objective)
+import iwri.engine as engine
+import iwri.linalg as la
 from iwri.linalg import assemble_normal_matrix, factorize
 from iwri.presets import box_anomaly_setup
 from iwri.workflow import InversionSettings, compute_lambda, estimate_mu1
@@ -222,7 +224,7 @@ def test_estimate_model_diagonal_case(rng):
     assert np.allclose(m, np.real(np.conj(L_diag) * y) / np.abs(L_diag) ** 2, rtol=1e-12)
 
 
-def test_estimate_model_bounds_and_singular(rng):
+def test_estimate_model_bounds_and_singular(rng, caplog):
     import scipy.sparse as sp
 
     n = 6
@@ -235,10 +237,12 @@ def test_estimate_model_bounds_and_singular(rng):
     assert np.all((0.0 <= m) & (m <= 1.0))
     # singular: zero matrix falls back to a shifted solve with a warning flag
     zero = sp.csr_matrix((n, n))
-    with pytest.warns(UserWarning):
+    with caplog.at_level("WARNING", logger="iwri.engine"):
         m, warn = estimate_model(zero, g, 0.0, 1.0,
                                  BoxConstraintState.init(np.zeros(n), 0.0, 1.0), mode="clip")
     assert warn
+    assert [r.getMessage() for r in caplog.records] == [
+        "singular model normal matrix, applying diagonal shift"]
     assert np.all((0.0 <= m) & (m <= 1.0))
 
 
@@ -317,6 +321,62 @@ def test_inner_refine_reduces_to_cycle_and_counts_solves():
     s3 = init_state(problem, m0.copy())
     inner_refine(problem, s3, params3)
     assert s3.pde_solve_count == 3 * 2  # three times faster growth per cycle
+
+
+def test_shared_layouts_factor_bit_equal_to_fresh(rng):
+    import scipy.sparse as sp
+
+    setup = box_anomaly_setup()
+    geom = setup.geometry
+    dataset = FrequencyDataset(frequencies=setup.frequencies, geometry=geom,
+                               data=[np.zeros((geom.n_receivers, 1))] * 3, noise_level=[1.0] * 3)
+    problem = InversionProblem(setup.true_model.grid, PmlConfig(), StencilScheme(), dataset,
+                               bounds=setup.bounds)
+    m = velocity_to_slowness_sq(setup.true_model).values
+    n_pad, n = problem.n_pad, problem.grid.n
+    systems = [(problem.pad_ordering, assemble_normal_matrix(k.assemble(m), problem.P, 0.3,
+                                                             gram=problem.PhP))
+               for k in problem.kernels]
+    for _ in range(2):  # model systems of two wavefield sets: one pattern, other values
+        normal = sum((k.scaled_mass(u) @ problem.restriction).conjugate().T
+                     @ (k.scaled_mass(u) @ problem.restriction)
+                     for k, u in zip(problem.kernels, rng.standard_normal((3, n_pad))
+                                     + 1j * rng.standard_normal((3, n_pad))))
+        systems.append((problem.phys_ordering,
+                        normal.real.tocsr() + sp.identity(n, format="csr")))
+    rhs = rng.standard_normal((n_pad, 2)) + 1j * rng.standard_normal((n_pad, 2))
+    bound = {}
+    for layout, H in systems:
+        shared = factorize(H, ordering=layout)
+        # the first system of each ordering binds its layout, the others reuse it
+        assert layout.positions(H) is bound.setdefault(id(layout), layout.positions(H))
+        fresh = factorize(H, ordering=np.asarray(layout))
+        assert np.array_equal(shared._band, fresh._band)
+        b = rhs if np.iscomplexobj(H.data) else rhs.real[:n]
+        assert np.array_equal(shared.solve(b), fresh.solve(b))
+
+
+def test_superlu_fallback_cycle_matches_banded(monkeypatch):
+    problem, m_true, dataset = tiny_problem()
+    params = PenaltyParams(lambdas=(3.0, 1.0), variant=Variant.PRSM)
+    m0 = np.full(problem.grid.n, 1.0 / 1850.0**2)
+    banded = init_state(problem, m0.copy())
+    inner_refine(problem, banded, params)
+
+    backends = []
+
+    def factorize_spy(H, ordering=None):
+        fact = la.factorize(H, ordering=ordering)
+        backends.append(fact._backend)
+        return fact
+
+    monkeypatch.setattr(la, "_MAX_BAND_BYTES", 0)
+    monkeypatch.setattr(engine, "factorize", factorize_spy)
+    splu = init_state(problem, m0.copy())
+    inner_refine(problem, splu, params)
+    assert backends == ["splu"] * 3  # two wavefield systems, one model system
+    for x, y in [(splu.m_values, banded.m_values), *zip(splu.u, banded.u)]:
+        assert np.linalg.norm(x - y) / np.linalg.norm(y) <= 1e-10
 
 
 def test_admm_rejects_inner_iterations():

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import iwri
 from iwri.errors import ConfigError, FormatError
 from iwri.grid import Grid2D, VelocityModel, build_homogeneous, velocity_to_slowness_sq
 from iwri.helmholtz import PmlConfig, StencilScheme
@@ -335,3 +340,23 @@ def test_cli_error_exit_codes(tmp_path):
         "k_max = 5\ndelta = 1e-300\neps_n = 1e-300\n")
     assert cli_dispatch(["forward", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     assert cli_dispatch(["invert", "--config", str(cfg), "--out", str(tmp_path / "inv")]) == 2
+
+
+def _python(*args):
+    """Run a fresh interpreter that imports this checkout's iwri."""
+    env = dict(os.environ, PYTHONPATH=str(Path(iwri.__file__).parents[1]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def test_python_m_iwri_help():
+    proc = _python("-m", "iwri", "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert "invert" in proc.stdout
+
+
+def test_cli_import_skips_unused_scipy_modules():
+    proc = _python("-c", "import sys, iwri.cli; "
+                         "print([m for m in ('scipy.ndimage', 'scipy.special') if m in sys.modules])")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -125,6 +125,36 @@ def test_factorize_with_ordering_matches(rng):
     assert np.linalg.norm(x0 - x1) / np.linalg.norm(x0) < 1e-10
 
 
+def _spd_with_pairs(n, pairs):
+    """Real SPD matrix: 4 on the diagonal, -1 at each (i, j) pair and its mirror."""
+    rows = [i for i, j in pairs] + [j for i, j in pairs]
+    cols = [j for i, j in pairs] + [i for i, j in pairs]
+    off = sp.csr_matrix((-np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    return (sp.diags(np.full(n, 4.0)) + off).tocsr()
+
+
+def test_layout_detects_another_pattern(rng):
+    n = 12
+    order = np.random.default_rng(3).permutation(n)
+    first = _spd_with_pairs(n, [(0, 1), (2, 3), (5, 9)])
+    layout = la.BandLayout(n, order)
+    factorize(first, ordering=layout)
+    bound = layout.positions(first)
+    assert layout.positions(first.copy()) is bound
+    b = rng.standard_normal(n)
+    others = [_spd_with_pairs(n, [(0, 3), (1, 2), (5, 9)]),  # same nnz and row counts
+              _spd_with_pairs(n, [(0, 1), (2, 3), (5, 9), (4, 11)]),  # more entries
+              first.tocsc()]  # same matrix, other format
+    for H in others:
+        assert layout.positions(H) is not bound
+        fact = factorize(H, ordering=layout)
+        assert np.linalg.norm(H @ fact.solve(b) - b) / np.linalg.norm(b) < 1e-12
+        assert np.array_equal(fact._band, factorize(H, ordering=order)._band)
+    assert layout.positions(first) is bound  # still bound to the first pattern
+    with pytest.raises(ShapeError):
+        factorize(_spd_with_pairs(n + 1, []), ordering=layout)
+
+
 def test_power_iteration_identity():
     n = 3
     a_lu = lu_factorize(sp.identity(n, format="csc", dtype=complex))
