@@ -126,6 +126,53 @@ def resolve_pml(pml, grid, bounds, m_true):
     return pml.resolved(grid, v_ref)
 
 
+class ModelNormalPlan:
+    """Fixed-pattern fill of the model normal matrix
+    N = Re sum_{k,s} R^T L_k(u_s)^H L_k(u_s) R, with R the padding map.
+
+    Every kernel's mass matrix is S_k = B diag(c_k), with B the real
+    mass-spreading stencil and c_k the PML damping, so with w = c_k u each
+    entry of L_k(u)^H L_k(u) is omega_k^4 (B^T B)_ij Re(conj(w_i) w_j).
+    B^T B lies on a few diagonals: per diagonal offset o, the source-summed
+    products Re(conj(w_i) w_{i+o}) come from two shifted slices of w.  The
+    pattern of N and the position in it of every B^T B entry are computed
+    once, from one kernel: B is shared by all kernels on the same grid, PML
+    layers and scheme.  Each fill is one bincount per frequency."""
+
+    def __init__(self, kernel):
+        S = kernel.mass_basis
+        n = kernel.grid.n
+        B = sp.csr_matrix(((S.data / kernel.damping[S.indices]).real, S.indices, S.indptr),
+                          shape=S.shape)
+        G = (B.T @ B).tocoo()
+        n_pad = G.shape[0]
+        phys = kernel.topology.phys_of_pad
+        keys, pos = np.unique(phys[G.row] * n + phys[G.col], return_inverse=True)
+        self.shape = (n, n)
+        self.indices = keys % n
+        self.indptr = np.concatenate(([0], np.cumsum(np.bincount(keys // n, minlength=n))))
+        offsets = G.col - G.row
+        present = np.flatnonzero(np.bincount(offsets - offsets.min())) + offsets.min()
+        groups = [np.flatnonzero(offsets == o) for o in present]
+        by_offset = np.concatenate(groups)
+        self.coef, self.pos = G.data[by_offset], pos[by_offset]
+        # (offset, first row, end row, rows holding an entry minus the first row)
+        self.diagonals = [(o, max(0, -o), n_pad - max(0, o), G.row[g] - max(0, -o))
+                          for o, g in zip(present, groups)]
+
+    def matrix(self, kernels, wavefields):
+        """N for per-frequency wavefields of shape (n_pad, n_sources)."""
+        data = np.zeros(self.indices.size)
+        for kern, u in zip(kernels, wavefields):
+            w = kern.damping[:, None] * u
+            wc = w.conj()
+            q = np.concatenate([np.einsum("is,is->i", wc[lo:hi], w[lo + o:hi + o]).real[rows]
+                                for o, lo, hi, rows in self.diagonals])
+            data += np.bincount(self.pos, weights=kern.omega**4 * self.coef * q,
+                                minlength=data.size)
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+
+
 class InversionProblem:
     """Frozen per-batch setup: kernels, observation operator, sources,
     observed data, bounds, and reference fields for error tracking."""
@@ -164,10 +211,7 @@ class InversionProblem:
             return BandLayout(g.n, axis_minor_ordering(g.nz, g.nx) if g.nz < g.nx else None)
 
         self.pad_ordering, self.phys_ordering = layout(topo.grid_pad), layout(grid)
-        n_pad = topo.n_pad
-        self.restriction = sp.csr_matrix(
-            (np.ones(n_pad), (np.arange(n_pad), topo.phys_of_pad)),
-            shape=(n_pad, grid.n))
+        self.model_normal = ModelNormalPlan(self.kernels[0])
 
         self.m_star = None
         self.u_star = None
@@ -285,7 +329,6 @@ def estimate_model(normal, rhs, lo, hi, box, *, ordering=None, mode="bregman"):
         logging.getLogger(__name__).warning("singular model normal matrix, applying diagonal shift")
         fact = factorize(system + shift * sp.identity(n, format="csr"), ordering=ordering)
         m_raw = fact.solve(full_rhs)
-    m_raw = np.asarray(np.real(m_raw), dtype=float)  # the SuperLU path solves in complex
 
     if mode == "bregman":
         box.p = np.clip(m_raw + box.q, lo, hi)
@@ -330,13 +373,7 @@ def _model_phase(problem, state, params):
     """Model estimates at the fixed wavefields, each followed by a source-dual
     step at the new model (alpha for prsm, the full ascent for admm).
     Returns whether any model solve needed the singular-system shift."""
-    normal = None
-    for kern, u in zip(problem.kernels, state.u):
-        for s in range(problem.n_sources):
-            Lr = kern.scaled_mass(u[:, s]) @ problem.restriction
-            contrib = Lr.conjugate().T @ Lr
-            normal = contrib if normal is None else normal + contrib
-    normal = normal.real.tocsr()
+    normal = problem.model_normal.matrix(problem.kernels, state.u)
     step = {Variant.WRI: None, Variant.ADMM: 1.0, Variant.PRSM: params.alpha}[params.variant]
     duals = state.duals
 

@@ -26,7 +26,10 @@ form.  Setting the blend weight to 1 and the mass spreading to pure
 lumping recovers the plain 5-point scheme everywhere.
 """
 
+import hashlib
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -43,6 +46,11 @@ from .linalg import lu_factorize
 _PML_ROUNDTRIP = 1e-8
 
 _ALL_SIDES = frozenset({"top", "bottom", "left", "right"})
+
+# Bytes of forward-solve solutions remembered per process (oldest evicted).
+_FORWARD_MEMO_BYTES = 32 * 2**20
+_forward_memo = OrderedDict()  # content digest of (A, b) -> solution
+_forward_memo_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -313,13 +321,40 @@ def build_kernel(grid, omega, pml, scheme, v_ref=None):
     return HelmholtzKernel(grid, omega, pml, scheme)
 
 
+def _digest(A, b):
+    """Content key of a forward solve: A as CSR and b, with shapes and dtypes."""
+    A = sp.csr_matrix(A)
+    h = hashlib.blake2b(digest_size=32)
+    for arr in (A.indptr, A.indices, A.data, b):
+        arr = np.ascontiguousarray(arr)
+        h.update(f"{arr.shape}{arr.dtype.str};".encode())
+        h.update(arr)
+    h.update(f"{A.shape}".encode())
+    return h.digest()
+
+
 def forward_solve(A, b):
-    """Direct solve A u = b (general sparse LU; A is non-Hermitian under PML)."""
+    """Direct solve A u = b (general sparse LU; A is non-Hermitian under PML).
+
+    Solutions are remembered by the content of (A, b), up to
+    ``_FORWARD_MEMO_BYTES``, oldest first out: a repeated solve in the same
+    process (data synthesis, then the reference wavefields of an inversion
+    on the same model) does no second factorization.  Callers get copies.
+    """
     b = np.asarray(b)
     if b.shape[0] != A.shape[0]:
         raise ShapeError(f"source vector has length {b.shape[0]}, "
                          f"operator dimension is {A.shape[0]}")
-    return lu_factorize(A).solve(b)
+    key = _digest(A, b)
+    with _forward_memo_lock:
+        u = _forward_memo.get(key)
+    if u is None:
+        u = lu_factorize(A).solve(b)
+        with _forward_memo_lock:
+            _forward_memo[key] = u
+            while sum(v.nbytes for v in _forward_memo.values()) > _FORWARD_MEMO_BYTES:
+                _forward_memo.popitem(last=False)
+    return u.copy()
 
 
 def analytic_green_2d(grid, src, omega, v0):

@@ -84,12 +84,13 @@ class SparseFactorization:
     """Immutable factorization of a sparse Hermitian positive definite
     matrix, reusable for any number of right-hand sides."""
 
-    def __init__(self, backend, n, *, band=None, layout=None, lu=None):
+    def __init__(self, backend, n, *, band=None, layout=None, lu=None, dtype=None):
         self._backend = backend
         self.n = n
         self._band = band
         self._layout = layout
         self._lu = lu
+        self._dtype = dtype  # of the SuperLU factors, which do not expose it
         self._lock = threading.Lock() if lu is not None else None
 
     def solve(self, rhs):
@@ -100,8 +101,11 @@ class SparseFactorization:
             x = sla.cho_solve_banded((self._band, True), rhs[self._layout.order],
                                      check_finite=False)
             return x[self._layout.inv]
+        split = np.iscomplexobj(rhs) and self._dtype.kind != "c"  # real factor: Re, Im apart
         with self._lock:
-            return self._lu.solve(np.ascontiguousarray(rhs, dtype=np.complex128))
+            x = [self._lu.solve(np.ascontiguousarray(part, dtype=self._dtype))
+                 for part in ((rhs.real, rhs.imag) if split else (rhs,))]
+        return x[0] + 1j * x[1] if split else x[0]
 
 
 def factorize(H, ordering=None):
@@ -135,11 +139,11 @@ def factorize(H, ordering=None):
         return SparseFactorization("banded", n, band=cb, layout=layout)
 
     try:
-        lu = spla.splu(H.tocsc().astype(np.complex128), permc_spec="MMD_AT_PLUS_A",
+        lu = spla.splu(H.tocsc().astype(dtype), permc_spec="MMD_AT_PLUS_A",
                        diag_pivot_thresh=0.01, options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise FactorizationError(f"sparse LU breakdown: {exc}") from exc
-    return SparseFactorization("splu", n, lu=lu)
+    return SparseFactorization("splu", n, lu=lu, dtype=dtype)
 
 
 class LuFactorization:
@@ -183,10 +187,15 @@ class PowerIterationResult:
 def power_iteration_mu1(a_factorization, P, tol=1e-4, max_it=200, seed=0):
     """Largest eigenvalue of A^{-H} P^T P A^{-1} by power iteration.
 
-    The start vector is drawn from an explicitly seeded generator so the
-    estimate is reproducible.  Convergence is declared when successive
-    Rayleigh quotients agree to ``tol`` relative; hitting ``max_it`` is not
-    an error, the best estimate is returned with ``converged=False``.
+    The operator is X X^H with X = A^{-H} P^H, which one block adjoint solve
+    gives (one column per receiver).  The iterates v <- X X^H v / ||.|| are
+    carried as z = X^H v in receiver space: mu = ||z||^2 and
+    z <- M z / sqrt(z^H M z) with M = X^H X, so each step is a product with
+    the small matrix M instead of two sparse solves.  The start vector is
+    drawn from an explicitly seeded generator so the estimate is
+    reproducible.  Convergence is declared when successive Rayleigh
+    quotients agree to ``tol`` relative; hitting ``max_it`` is not an error,
+    the best estimate is returned with ``converged=False``.
     """
     if tol <= 0:
         raise ParameterError(f"tolerance must be positive, got {tol}")
@@ -194,22 +203,24 @@ def power_iteration_mu1(a_factorization, P, tol=1e-4, max_it=200, seed=0):
     n = a_factorization.n
     if P.shape[1] != n:
         raise ShapeError(f"P has {P.shape[1]} columns, operator dimension is {n}")
-    Pt = P.conjugate().T.tocsr()
+    X = a_factorization.solve(P.conjugate().T.toarray(), adjoint=True)
+    M = X.conjugate().T @ X
 
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.sqrt(np.sum(np.abs(v) ** 2))
+    z = X.conjugate().T @ v
 
     mu = 0.0
     for it in range(1, max_it + 1):
-        y = a_factorization.solve(Pt @ (P @ a_factorization.solve(v)), adjoint=True)
-        mu_new = float(np.real(np.sum(np.conj(v) * y)))
-        norm_y = float(np.sqrt(np.sum(np.abs(y) ** 2)))
+        mu_new = float(np.sum(np.abs(z) ** 2))
+        Mz = M @ z
+        norm_y = float(np.sqrt(max(np.vdot(z, Mz).real, 0.0)))
         if norm_y == 0.0:
             return PowerIterationResult(0.0, True, it)
         converged = mu_new > 0 and abs(mu_new - mu) < tol * abs(mu_new)
         mu = mu_new
-        v = y / norm_y
+        z = Mz / norm_y
         if converged:
             return PowerIterationResult(mu, True, it)
     return PowerIterationResult(mu, False, max_it)

@@ -1,3 +1,11 @@
+import os
+
+# One BLAS thread, set before numpy loads OpenBLAS: the systems here are
+# small, and two spinning OpenBLAS threads on a shared host turned
+# criterion 01's 0.2 s of dense solves into 12-45 s.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

@@ -338,12 +338,9 @@ def test_shared_layouts_factor_bit_equal_to_fresh(rng):
                                                              gram=problem.PhP))
                for k in problem.kernels]
     for _ in range(2):  # model systems of two wavefield sets: one pattern, other values
-        normal = sum((k.scaled_mass(u) @ problem.restriction).conjugate().T
-                     @ (k.scaled_mass(u) @ problem.restriction)
-                     for k, u in zip(problem.kernels, rng.standard_normal((3, n_pad))
-                                     + 1j * rng.standard_normal((3, n_pad))))
-        systems.append((problem.phys_ordering,
-                        normal.real.tocsr() + sp.identity(n, format="csr")))
+        normal = problem.model_normal.matrix(problem.kernels, rng.standard_normal((3, n_pad, 1))
+                                             + 1j * rng.standard_normal((3, n_pad, 1)))
+        systems.append((problem.phys_ordering, normal + sp.identity(n, format="csr")))
     rhs = rng.standard_normal((n_pad, 2)) + 1j * rng.standard_normal((n_pad, 2))
     bound = {}
     for layout, H in systems:
@@ -354,6 +351,33 @@ def test_shared_layouts_factor_bit_equal_to_fresh(rng):
         assert np.array_equal(shared._band, fresh._band)
         b = rhs if np.iscomplexobj(H.data) else rhs.real[:n]
         assert np.array_equal(shared.solve(b), fresh.solve(b))
+
+
+def test_model_normal_plan_matches_product_loop(rng):
+    import scipy.sparse as sp
+
+    setup = box_anomaly_setup(nx=40, nz=28, dx=25.0)
+    grid = setup.true_model.grid
+    geom = AcquisitionGeometry(sources=((40.0, 200.0), (40.0, 500.0)),
+                               receivers=setup.geometry.receivers)
+    dataset = FrequencyDataset(frequencies=setup.frequencies, geometry=geom,
+                               data=[np.zeros((geom.n_receivers, 2))] * 3, noise_level=[1.0] * 3)
+    problem = InversionProblem(grid, PmlConfig(), StencilScheme(), dataset, bounds=setup.bounds)
+    n_pad = problem.n_pad
+    R = sp.csr_matrix((np.ones(n_pad), (np.arange(n_pad), problem.topology.phys_of_pad)),
+                      shape=(n_pad, grid.n))
+    us = rng.standard_normal((3, n_pad, 2)) + 1j * rng.standard_normal((3, n_pad, 2))
+    expected = None  # the per-(frequency, source) product loop the plan replaces
+    for kern, u in zip(problem.kernels, us):
+        for s in range(2):
+            Lr = kern.scaled_mass(u[:, s]) @ R
+            contrib = Lr.conjugate().T @ Lr
+            expected = contrib if expected is None else expected + contrib
+    expected = expected.real.tocsr()
+    normal = problem.model_normal.matrix(problem.kernels, us)
+    assert normal.dtype == np.float64
+    assert abs(normal - expected).max() <= 1e-14 * abs(expected).max()
+    assert normal.nnz == expected.nnz
 
 
 def test_superlu_fallback_cycle_matches_banded(monkeypatch):
@@ -400,7 +424,8 @@ def test_engine_matches_dense_reference(variant):
     mid_step = variant is Variant.PRSM
     alpha = 0.5 if mid_step else 1.0
     P = problem.P.toarray()
-    R = problem.restriction.toarray()
+    R = np.zeros((problem.n_pad, problem.grid.n))
+    R[np.arange(problem.n_pad), problem.topology.phys_of_pad] = 1.0
     m = np.full(problem.grid.n, 1.0 / 1850.0**2)
     d_dual = [np.zeros(2, dtype=complex) for _ in range(2)]
     b_dual = [np.zeros(problem.n_pad, dtype=complex) for _ in range(2)]

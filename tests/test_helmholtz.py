@@ -154,6 +154,113 @@ def test_forward_solve_constructed_solution(rng):
         forward_solve(A, ones[:-1])
 
 
+@pytest.fixture
+def lu_calls(monkeypatch):
+    """Empty forward-solve memo plus a log of the LUs forward_solve makes."""
+    from collections import OrderedDict
+
+    import iwri.helmholtz as helmholtz
+
+    calls = []
+
+    def lu_spy(A):
+        calls.append(A.shape)
+        return real_lu(A)
+
+    real_lu = helmholtz.lu_factorize
+    monkeypatch.setattr(helmholtz, "_forward_memo", OrderedDict())
+    monkeypatch.setattr(helmholtz, "lu_factorize", lu_spy)
+    return calls
+
+
+def test_forward_solve_memo_keys_on_content(lu_calls, rng):
+    A, _ = toy_helmholtz_system(nx=10, nz=8)
+    A = A.tocsr()
+    b = rng.standard_normal((A.shape[0], 2)) + 0j
+    u = forward_solve(A, b)
+    assert np.array_equal(forward_solve(A.copy(), b.copy()), u)  # equal content: a hit
+    assert len(lu_calls) == 1
+    u[:] = 0.0  # the caller's copy; the memo keeps its own
+    assert np.linalg.norm(A @ forward_solve(A, b) - b) < 1e-9 * np.linalg.norm(b)
+    assert len(lu_calls) == 1
+    A2 = A.copy()
+    A2.data[5] *= 1.0 + 1e-12
+    forward_solve(A2, b)
+    assert len(lu_calls) == 2
+    b2 = b.copy()
+    b2[3, 1] += 1e-12
+    forward_solve(A, b2)
+    assert len(lu_calls) == 3
+    forward_solve(A, b[:, :1])  # same first column, other shape
+    assert len(lu_calls) == 4
+
+
+def test_forward_solve_memo_evicts_oldest(lu_calls, rng, monkeypatch):
+    import iwri.helmholtz as helmholtz
+
+    A, _ = toy_helmholtz_system(nx=10, nz=8)
+    bs = [rng.standard_normal(A.shape[0]) + 0j for _ in range(3)]
+    monkeypatch.setattr(helmholtz, "_FORWARD_MEMO_BYTES", 2 * bs[0].nbytes)
+    for b in bs:
+        forward_solve(A, b)
+    assert len(lu_calls) == 3
+    forward_solve(A, bs[2])
+    forward_solve(A, bs[1])
+    assert len(lu_calls) == 3
+    forward_solve(A, bs[0])  # evicted when the third entry came in
+    assert len(lu_calls) == 4
+
+
+def test_forward_solve_memo_under_threads(lu_calls, rng, monkeypatch):
+    import sys
+    import threading
+
+    import iwri.helmholtz as helmholtz
+
+    A, _ = toy_helmholtz_system(nx=6, nz=5)
+    bs = [rng.standard_normal(A.shape[0]) + 0j for _ in range(40)]
+    monkeypatch.setattr(helmholtz, "_FORWARD_MEMO_BYTES", 20 * bs[0].nbytes)
+    errors = []
+
+    def work(offset):
+        try:
+            for i in range(300):
+                b = bs[(i + offset) % len(bs)]
+                if np.linalg.norm(A @ forward_solve(A, b) - b) > 1e-9 * np.linalg.norm(b):
+                    errors.append(i)
+        except Exception as exc:  # a race shows as an exception in the thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert sum(v.nbytes for v in helmholtz._forward_memo.values()) <= 20 * bs[0].nbytes
+
+
+def test_reference_wavefields_reuse_synthesis(lu_calls):
+    from iwri.acquisition import synthesize_data
+    from iwri.engine import InversionProblem
+    from iwri.presets import box_anomaly_setup
+
+    setup = box_anomaly_setup()
+    pml, scheme = PmlConfig(), StencilScheme()
+    dataset = synthesize_data(velocity_to_slowness_sq(setup.true_model), setup.geometry,
+                              setup.frequencies, pml, scheme, f0=setup.f0)
+    assert len(lu_calls) == 3
+    InversionProblem(setup.true_model.grid, pml, scheme, dataset, bounds=setup.bounds,
+                     m_true=setup.true_model)
+    assert len(lu_calls) == 3
+
+
 def _green_setup(h, radius_factor=2.2, n_layers=10):
     v0, f = 1800.0, 5.0
     wavelength = v0 / f

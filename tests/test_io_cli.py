@@ -297,6 +297,19 @@ def test_cli_mu1_matches_invert(tmp_path, capsys):
     assert f"mu1 = {batch['mu1'][0]:.8e} " in capsys.readouterr().out
 
 
+def test_cli_mu1_readme_config(tmp_path, capsys):
+    # the README's box config; the power iteration on grid vectors gave this line
+    setup = box_anomaly_setup()
+    write_model_file(setup.true_model, tmp_path / "true.mod")
+    write_model_file(setup.initial_model, tmp_path / "init.mod")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("true_model = true.mod\ninitial_model = init.mod\ndata = fwd/dataset.iwd\n"
+                   "sources = 15,350\nreceiver_line = 985 19.4 680.6 18\n"
+                   "frequencies = 2.5 5 7\nv_min = 1800\nv_max = 2100\nk_max = 100\n")
+    assert cli_dispatch(["mu1", "--config", str(cfg), "--freq", "5"]) == 0
+    assert capsys.readouterr().out == "mu1 = 2.49223104e+06 (converged=True, iterations=14)\n"
+
+
 def test_cli_scan_lambda(tmp_path):
     seed_models(tmp_path)
     cfg = write_config(tmp_path, data_line="data = out/dataset.iwd\n")

@@ -95,6 +95,26 @@ def test_factorize_splu_backend_agrees(rng, monkeypatch):
     assert np.linalg.norm(x_banded - x_splu) / np.linalg.norm(x_banded) < 1e-9
 
 
+def test_splu_fallback_keeps_real_systems_real(rng, monkeypatch):
+    import warnings
+
+    H = _spd_with_pairs(40, [(i, i + 1) for i in range(39)] + [(i, i + 7) for i in range(33)])
+    b = rng.standard_normal(40)
+    B = rng.standard_normal((40, 2)) + 1j * rng.standard_normal((40, 2))
+    banded = factorize(H)
+    monkeypatch.setattr(la, "_MAX_BAND_BYTES", 0)
+    fact = factorize(H)
+    assert fact._backend == "splu"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", np.exceptions.ComplexWarning)
+        x = fact.solve(b)
+        X = fact.solve(B)  # complex right-hand side: real and imaginary parts apart
+    assert x.dtype == np.float64
+    assert np.linalg.norm(x - banded.solve(b)) / np.linalg.norm(x) < 1e-12
+    assert X.dtype == np.complex128
+    assert np.linalg.norm(X - banded.solve(B)) / np.linalg.norm(X) < 1e-12
+
+
 def test_factorize_multi_rhs(rng):
     H = hermitian_pd(rng, 16)
     B = rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))
@@ -205,6 +225,57 @@ def test_power_iteration_nonconverged_flag():
     assert not result.converged
     assert result.iterations == 2
     assert result.value > 0
+
+
+def _power_iteration_n_space(a_factorization, P, tol, max_it, seed):
+    """Reference: the power iteration on n-vectors, two sparse solves a step."""
+    P = sp.csr_matrix(P)
+    Pt = P.conjugate().T.tocsr()
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(a_factorization.n) + 1j * rng.standard_normal(a_factorization.n)
+    v /= np.sqrt(np.sum(np.abs(v) ** 2))
+    mu = 0.0
+    for it in range(1, max_it + 1):
+        y = a_factorization.solve(Pt @ (P @ a_factorization.solve(v)), adjoint=True)
+        mu_new = float(np.real(np.sum(np.conj(v) * y)))
+        norm_y = float(np.sqrt(np.sum(np.abs(y) ** 2)))
+        converged = mu_new > 0 and abs(mu_new - mu) < tol * abs(mu_new)
+        mu = mu_new
+        v = y / norm_y
+        if converged:
+            return mu, True, it
+    return mu, False, max_it
+
+
+def _box_systems():
+    from iwri.acquisition import build_observation
+    from iwri.grid import velocity_to_slowness_sq
+    from iwri.helmholtz import PmlConfig, StencilScheme, build_kernel
+    from iwri.presets import box_anomaly_setup
+
+    setup = box_anomaly_setup()
+    grid = setup.true_model.grid
+    pml = PmlConfig().resolved(grid, setup.bounds.v_max)
+    m0 = velocity_to_slowness_sq(setup.initial_model).values
+    for f in setup.frequencies:
+        kern = build_kernel(grid, 2.0 * np.pi * f, pml, StencilScheme())
+        yield kern.assemble(m0), build_observation(kern.topology, setup.geometry.receivers)
+
+
+def test_power_iteration_factored_matches_n_space_loop():
+    from tests_helpers_toy import toy_helmholtz_system
+
+    runs = [(A, P, 1e-4, 500, 1234) for A, P in _box_systems()]
+    runs.append((*toy_helmholtz_system(nx=12, nz=9, n_receivers=3), 1e-10, 3000, 11))
+    iterations = []
+    for A, P, tol, max_it, seed in runs:
+        a_lu = lu_factorize(A)
+        result = power_iteration_mu1(a_lu, P, tol=tol, max_it=max_it, seed=seed)
+        mu, converged, its = _power_iteration_n_space(a_lu, P, tol, max_it, seed)
+        assert (result.converged, result.iterations) == (converged, its)
+        assert abs(result.value - mu) <= 1e-12 * mu
+        iterations.append(its)
+    assert iterations[:3] == [9, 14, 28]  # the box's 2.5, 5 and 7 Hz
 
 
 def test_lu_factorize_adjoint(rng):
