@@ -19,6 +19,7 @@ auxiliary/dual pair, one pass per outer cycle.
 
 import enum
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +50,8 @@ class PenaltyParams:
 
     def __post_init__(self):
         object.__setattr__(self, "lambdas", tuple(float(v) for v in self.lambdas))
-        if any(v <= 0 for v in self.lambdas):
-            raise ParameterError("penalty weights must be positive")
+        if not all(0 < v < math.inf for v in self.lambdas):
+            raise ParameterError(f"penalty weights must be finite and positive, got {self.lambdas}")
         if not 0.0 < self.alpha <= 1.0:
             raise ParameterError(f"alpha must be in (0, 1], got {self.alpha}")
         if self.inner_iterations < 1:
@@ -387,12 +388,12 @@ def _model_phase(problem, state, params):
                                          ordering=problem.phys_ordering,
                                          mode=problem.bounds_mode)
         except FactorizationError as exc:
-            raise SolverError(f"model update failed: {exc}", iteration=state.k) from exc
+            raise SolverError(f"model update failed: {exc}", frequency=problem.frequencies,
+                              iteration=state.k) from exc
         if not np.all(np.isfinite(m_new) & (m_new > 0)):
-            raise SolverError(
-                f"iteration {state.k}: model at {problem.frequencies} Hz is not finite and "
-                f"strictly positive (min {np.min(m_new):.3e})",
-                frequency=problem.frequencies, iteration=state.k)
+            raise SolverError(f"model is not finite and strictly positive: "
+                              f"min {np.min(m_new):.3e}",
+                              frequency=problem.frequencies, iteration=state.k)
         warned = warned or warn
         state.m_values = m_new
         state.assembled = [kern.assemble(m_new) for kern in problem.kernels]

@@ -34,10 +34,17 @@ class FactorizationError(IwriError):
 
 
 class SolverError(IwriError):
-    """A linear solve failed; carries iteration context when available."""
+    """A numerical step failed.  ``frequency`` (Hz, one value or a batch
+    tuple) and ``iteration`` (outer cycle) are kept as attributes and, when
+    given, named in the message."""
 
     def __init__(self, message, frequency=None, iteration=None):
-        super().__init__(message)
+        context = []
+        if frequency is not None:
+            context.append(f"{frequency} Hz")
+        if iteration is not None:
+            context.append(f"iteration {iteration}")
+        super().__init__(f"{message} (at {', '.join(context)})" if context else message)
         self.frequency = frequency
         self.iteration = iteration
 

@@ -223,7 +223,7 @@ _CONFIG_KEYS = {
     "v_min", "v_max", "bounds_mode",
     "pml_layers", "pml_exponent", "pml_damping", "pml_free_top",
     "k_max", "delta", "eps_n",
-    "snr_db", "noise_seed", "seed", "mu1_tol",
+    "snr_db", "noise_seed",
 }
 
 _DEFAULTS = {
@@ -243,8 +243,6 @@ _DEFAULTS = {
     "eps_n": "auto",
     "snr_db": "inf",
     "noise_seed": "0",
-    "seed": "1234",
-    "mu1_tol": "1e-4",
 }
 
 
@@ -359,8 +357,6 @@ class RunConfig:
             bounds_mode=self.raw["bounds_mode"],
             pml=self.pml(),
             scheme=StencilScheme(),
-            mu1_tol=self._float("mu1_tol"),
-            seed=self._int("seed"),
         )
 
     def plan(self):

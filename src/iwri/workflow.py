@@ -2,19 +2,17 @@
 per-batch iteration driver and multi-path frequency continuation."""
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .engine import (InversionProblem, PenaltyParams, Variant, init_state,
                      inner_refine, model_error, wavefield_error)
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, FactorizationError, ParameterError, SolverError
 from .grid import SlownessSqModel, slowness_sq_to_velocity, velocity_to_slowness_sq
 from .helmholtz import PmlConfig, StencilScheme
 from .linalg import lu_factorize, power_iteration_mu1
-
-# Power-iteration cap for mu1; hitting it is reported, not an error.
-_MU1_MAX_IT = 500
 
 
 @dataclass
@@ -88,8 +86,9 @@ def check_stop(k, stats, criteria, noise_level):
 
 def compute_lambda(mu1, fraction):
     """Penalty weight as a fraction of the largest data-resolution eigenvalue."""
-    if mu1 <= 0 or fraction <= 0:
-        raise ParameterError("mu1 and fraction must be positive")
+    if not (0 < mu1 < math.inf and 0 < fraction < math.inf):
+        raise ParameterError(f"mu1 and fraction must be finite and positive, "
+                             f"got {mu1} and {fraction}")
     return float(mu1) * float(fraction)
 
 
@@ -124,23 +123,18 @@ class InversionSettings:
     bounds_mode: str = "bregman"
     pml: PmlConfig = PmlConfig()
     scheme: StencilScheme = StencilScheme()
-    mu1_tol: float = 1e-4
-    seed: int = 1234
 
 
-def estimate_mu1(kernel, m_values, P, settings):
-    """Largest eigenvalue of A(m)^{-H} P^H P A(m)^{-1} by power iteration
-    on a sparse LU of A(m), with the run's tolerance and seed."""
-    return power_iteration_mu1(lu_factorize(kernel.assemble(m_values)), P,
-                               tol=settings.mu1_tol, max_it=_MU1_MAX_IT,
-                               seed=settings.seed)
+def estimate_mu1(kernel, m_values, P):
+    """Largest eigenvalue of A(m)^{-H} P^H P A(m)^{-1}, from a sparse LU of
+    A(m)."""
+    return power_iteration_mu1(lu_factorize(kernel.assemble(m_values)), P).value
 
 
 @dataclass
 class BatchInfo:
     mu1: list
     lambdas: list
-    mu1_converged: list
     initial_pde_misfit: float
     stop_reason: StopReason
     iterations: int
@@ -163,12 +157,13 @@ def run_batch(model_in, dataset, settings, criteria, *, m_true=None,
                                bounds=settings.bounds, m_true=m_true,
                                bounds_mode=settings.bounds_mode)
 
-    mu1, lambdas, mu_flags = [], [], []
-    for kern in problem.kernels:
-        result = estimate_mu1(kern, model_in.values, problem.P, settings)
-        mu1.append(result.value)
-        mu_flags.append(result.converged)
-        lambdas.append(compute_lambda(result.value, settings.lambda_fraction))
+    mu1 = []
+    for f, kern in zip(problem.frequencies, problem.kernels):
+        try:
+            mu1.append(estimate_mu1(kern, model_in.values, problem.P))
+        except FactorizationError as exc:
+            raise SolverError(f"mu1 estimation failed: {exc}", frequency=f) from exc
+    lambdas = [compute_lambda(v, settings.lambda_fraction) for v in mu1]
     params = PenaltyParams(lambdas=tuple(lambdas), alpha=settings.alpha,
                            variant=settings.variant,
                            inner_iterations=settings.inner_iterations)
@@ -189,8 +184,7 @@ def run_batch(model_in, dataset, settings, criteria, *, m_true=None,
                 and stats.pde_misfit <= pde_stop_fraction * initial_pde):
             reason = StopReason.THRESHOLD
 
-    info = BatchInfo(mu1=mu1, lambdas=lambdas, mu1_converged=mu_flags,
-                     initial_pde_misfit=initial_pde, stop_reason=reason, iterations=state.k)
+    info = BatchInfo(mu1=mu1, lambdas=lambdas, initial_pde_misfit=initial_pde, stop_reason=reason, iterations=state.k)
     return SlownessSqModel(grid, state.m_values.copy()), record, info
 
 
@@ -212,7 +206,7 @@ class RunResult:
 
 def run_inversion(model0, plan, dataset, settings, criteria, *, m_true=None):
     """Execute all paths and batches of a continuation plan, threading the
-    model; deterministic for a fixed configuration and seed."""
+    model; deterministic for a fixed configuration."""
     m_cur = velocity_to_slowness_sq(model0)
     batches_out = []
     per_path_iterations = []
@@ -236,7 +230,6 @@ def run_inversion(model0, plan, dataset, settings, criteria, *, m_true=None):
         "alpha": settings.alpha,
         "inner_iterations": settings.inner_iterations,
         "lambda_fraction": settings.lambda_fraction,
-        "seed": settings.seed,
         "bounds": None if settings.bounds is None else
                   {"v_min": settings.bounds.v_min, "v_max": settings.bounds.v_max},
         "bounds_mode": settings.bounds_mode,
@@ -249,7 +242,6 @@ def run_inversion(model0, plan, dataset, settings, criteria, *, m_true=None):
                 "frequencies": list(br.frequencies),
                 "mu1": [float(v) for v in br.info.mu1],
                 "lambda": [float(v) for v in br.info.lambdas],
-                "mu1_converged": [bool(v) for v in br.info.mu1_converged],
                 "iterations": br.info.iterations,
                 "stop_reason": br.info.stop_reason.value,
                 "initial_pde_misfit": br.info.initial_pde_misfit,

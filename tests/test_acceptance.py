@@ -25,7 +25,7 @@ from iwri.engine import (InversionProblem, PenaltyParams, Variant, init_state,
 from iwri.linalg import assemble_normal_matrix, factorize, lu_factorize, power_iteration_mu1
 from iwri.presets import box_anomaly_setup
 from iwri.refinement import DenseProblem, accumulated_rhs_solve, iterative_refine
-from iwri.workflow import compute_lambda
+from iwri.workflow import compute_lambda, estimate_mu1
 
 
 def _line(num, name, ok, detail):
@@ -51,13 +51,8 @@ class BoxRuns:
         self.problem = InversionProblem(grid, self.pml, self.scheme, self.dataset,
                                         bounds=self.setup.bounds,
                                         m_true=self.setup.true_model)
-        self.lambdas = []
-        for kern in self.problem.kernels:
-            a_lu = lu_factorize(kern.assemble(self.m0.values))
-            mu1 = power_iteration_mu1(a_lu, self.problem.P, tol=1e-4,
-                                      max_it=500, seed=1234)
-            self.lambdas.append(compute_lambda(mu1.value, 1e-4))
-        self.lambdas = tuple(self.lambdas)
+        self.lambdas = tuple(compute_lambda(estimate_mu1(kern, self.m0.values, self.problem.P),
+                                            1e-4) for kern in self.problem.kernels)
         self.runs = {}
         self.wall = {}
 
@@ -407,16 +402,14 @@ def test_criterion_11_mu1_vs_dense():
     receivers = ((85.0, 15.0), (85.0, 40.0), (85.0, 65.0))
     P = build_observation(kern.topology, receivers)
     A = kern.assemble(m.values)
-    est = power_iteration_mu1(lu_factorize(A), P, tol=1e-10, max_it=5000, seed=11)
+    est = power_iteration_mu1(lu_factorize(A), P)
     G = np.linalg.solve(A.toarray(), np.eye(n_pad))
     PG = P @ G
     dense = float(np.linalg.eigvalsh(PG.conj().T @ PG)[-1])
     rel = abs(est.value - dense) / dense
-    ok = rel < 1e-6 and est.converged
-    _line(11, "power iteration vs dense eigenvalue", ok,
-          f"{n_pad} unknowns, rel diff {rel:.2e}")
-    assert est.converged
-    assert rel < 1e-6
+    ok = rel <= 1e-12
+    _line(11, "mu1 vs dense eigenvalue", ok, f"{n_pad} unknowns, rel diff {rel:.2e}")
+    assert rel <= 1e-12
 
 
 def test_criterion_12_noise_contract():
@@ -456,7 +449,7 @@ def test_criterion_13_cli_determinism(tmp_path):
         "true_model = true.mod\ninitial_model = init.mod\ndata = fwd/dataset.iwd\n"
         "sources = 15,35\nreceivers = 85,15; 85,45; 85,65\nfrequencies = 5 8\n"
         "v_min = 1600\nv_max = 2100\npml_layers = 3\nk_max = 4\n"
-        "delta = 1e-16\neps_n = 1e-16\nlambda_fraction = 1e-3\nseed = 3\n")
+        "delta = 1e-16\neps_n = 1e-16\nlambda_fraction = 1e-3\n")
     assert cli_dispatch(["forward", "--config", str(cfg), "--out", str(tmp_path / "fwd")]) == 0
     for out in ("a", "b"):
         assert cli_dispatch(["invert", "--config", str(cfg),

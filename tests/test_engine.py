@@ -403,6 +403,12 @@ def test_superlu_fallback_cycle_matches_banded(monkeypatch):
         assert np.linalg.norm(x - y) / np.linalg.norm(y) <= 1e-10
 
 
+@pytest.mark.parametrize("lam", [np.nan, np.inf])
+def test_penalty_params_reject_nonfinite(lam):
+    with pytest.raises(ParameterError):
+        PenaltyParams(lambdas=(1.0, lam))
+
+
 def test_admm_rejects_inner_iterations():
     with pytest.raises(ParameterError):
         PenaltyParams(lambdas=(1.0,), variant=Variant.ADMM, inner_iterations=2)
@@ -492,7 +498,7 @@ def test_nonpositive_model_iterate_fails_fast():
     problem = InversionProblem(m_true.grid, settings.pml, settings.scheme, dataset,
                                m_true=setup.true_model, reference_wavefields=False,
                                bounds_mode="clip")
-    lambdas = [compute_lambda(estimate_mu1(k, m0, problem.P, settings).value,
+    lambdas = [compute_lambda(estimate_mu1(k, m0, problem.P),
                               settings.lambda_fraction) for k in problem.kernels]
     state = init_state(problem, m0)
     with pytest.raises(SolverError) as info:

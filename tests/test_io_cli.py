@@ -8,14 +8,16 @@ import numpy as np
 import pytest
 
 import iwri
-from iwri.errors import ConfigError, FormatError
+import iwri.engine
+from iwri.errors import ConfigError, FactorizationError, FormatError
 from iwri.grid import Grid2D, VelocityModel, build_homogeneous, velocity_to_slowness_sq
 from iwri.helmholtz import PmlConfig, StencilScheme
 from iwri.acquisition import AcquisitionGeometry, synthesize_data
-from iwri.fileio import (load_config, read_convergence_csv, read_dataset, read_model_file,
-                         write_convergence_csv, write_dataset, write_model_file, write_raster)
+from iwri.fileio import (_CONFIG_KEYS, load_config, read_convergence_csv, read_dataset,
+                         read_model_file, write_convergence_csv, write_dataset, write_model_file,
+                         write_raster)
 from iwri.workflow import ConvergenceRecord
-from iwri.cli import cli_dispatch
+from iwri.cli import _build_parser, cli_dispatch
 from iwri.presets import box_anomaly_setup
 
 
@@ -182,7 +184,6 @@ def write_config(tmp_path, extra="", data_line=""):
         "delta = 1e-16\n"
         "eps_n = 1e-16\n"
         "lambda_fraction = 1e-3\n"
-        "seed = 3\n"
         + extra)
     return cfg
 
@@ -213,7 +214,7 @@ def test_config_parsing_and_validation(tmp_path):
     with pytest.raises(ConfigError):
         load_config(bad)
     dup = tmp_path / "dup.cfg"
-    dup.write_text("seed = 1\nseed = 2\n")
+    dup.write_text("k_max = 1\nk_max = 2\n")
     with pytest.raises(ConfigError):
         load_config(dup)
     noeq = tmp_path / "noeq.cfg"
@@ -294,11 +295,11 @@ def test_cli_mu1_matches_invert(tmp_path, capsys):
     assert batch["frequencies"][0] == 5.0
     capsys.readouterr()
     assert cli_dispatch(["mu1", "--config", str(cfg), "--freq", "5"]) == 0
-    assert f"mu1 = {batch['mu1'][0]:.8e} " in capsys.readouterr().out
+    assert f"mu1 = {batch['mu1'][0]:.8e}\n" in capsys.readouterr().out
 
 
 def test_cli_mu1_readme_config(tmp_path, capsys):
-    # the README's box config; the power iteration on grid vectors gave this line
+    # the README's box config
     setup = box_anomaly_setup()
     write_model_file(setup.true_model, tmp_path / "true.mod")
     write_model_file(setup.initial_model, tmp_path / "init.mod")
@@ -307,7 +308,7 @@ def test_cli_mu1_readme_config(tmp_path, capsys):
                    "sources = 15,350\nreceiver_line = 985 19.4 680.6 18\n"
                    "frequencies = 2.5 5 7\nv_min = 1800\nv_max = 2100\nk_max = 100\n")
     assert cli_dispatch(["mu1", "--config", str(cfg), "--freq", "5"]) == 0
-    assert capsys.readouterr().out == "mu1 = 2.49223104e+06 (converged=True, iterations=14)\n"
+    assert capsys.readouterr().out == "mu1 = 2.49354924e+06\n"
 
 
 def test_cli_scan_lambda(tmp_path):
@@ -353,6 +354,40 @@ def test_cli_error_exit_codes(tmp_path):
         "k_max = 5\ndelta = 1e-300\neps_n = 1e-300\n")
     assert cli_dispatch(["forward", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     assert cli_dispatch(["invert", "--config", str(cfg), "--out", str(tmp_path / "inv")]) == 2
+
+
+def test_cli_numerical_failure_names_frequency_and_iteration(tmp_path, monkeypatch, capsys):
+    def broken(H, ordering=None):
+        raise FactorizationError("banded Cholesky breakdown", pivot_index=0)
+
+    seed_models(tmp_path)
+    cfg = write_config(tmp_path, data_line="data = out/dataset.iwd\n")
+    assert cli_dispatch(["forward", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    monkeypatch.setattr(iwri.engine, "factorize", broken)
+    capsys.readouterr()
+    assert cli_dispatch(["invert", "--config", str(cfg), "--out", str(tmp_path / "inv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ")
+    assert "5.0 Hz" in err and "iteration 0" in err
+
+
+def test_readme_lists_every_config_key_and_invert_flag():
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    config_keys = text.split("### Config keys", 1)[1].split("\n#", 1)[0]
+    for key in _CONFIG_KEYS:
+        assert f"`{key}`" in config_keys or f"`{key} " in config_keys, key
+    assert "mu1_tol" not in config_keys
+
+    command_line = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    invert_row = next(line for line in command_line.splitlines()
+                      if line.startswith("| `invert` |"))
+    subparsers = next(a for a in _build_parser()._actions if a.dest == "command")
+    for action in subparsers.choices["invert"]._actions:
+        for flag in action.option_strings:
+            if flag in ("-h", "--help"):
+                continue
+            assert f"`{flag}" in invert_row, flag
+    assert "--seed" not in invert_row
 
 
 def _python(*args):

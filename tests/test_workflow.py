@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from iwri.errors import ConfigError, ParameterError
+import iwri.workflow as workflow
+from iwri.errors import ConfigError, ParameterError, SolverError
 from iwri.grid import Bounds, Grid2D, VelocityModel, build_homogeneous, velocity_to_slowness_sq
 from iwri.helmholtz import PmlConfig, StencilScheme
 from iwri.acquisition import AcquisitionGeometry, synthesize_data
@@ -31,6 +32,12 @@ def test_compute_lambda():
     fractions = [10.0**e for e in range(-9, 4)]
     lams = [compute_lambda(1e7, f) for f in fractions]
     assert lams[0] == 1e-2 and lams[-1] == 1e10
+
+
+@pytest.mark.parametrize("mu1, fraction", [(np.nan, 1e-4), (np.inf, 1e-4), (1e7, np.nan)])
+def test_compute_lambda_rejects_nonfinite(mu1, fraction):
+    with pytest.raises(ParameterError):
+        compute_lambda(mu1, fraction)
 
 
 def test_check_stop_truth_table(rng):
@@ -90,7 +97,7 @@ def small_setup(frequencies=(5.0, 8.0)):
     dataset = synthesize_data(velocity_to_slowness_sq(v_true), geom, frequencies,
                               pml, StencilScheme(), f0=5.0)
     settings = InversionSettings(bounds=Bounds(1600.0, 2100.0), pml=pml,
-                                 lambda_fraction=1e-3, seed=3)
+                                 lambda_fraction=1e-3)
     return v_true, dataset, settings
 
 
@@ -130,6 +137,23 @@ def test_run_batch_threshold_stop():
     assert info.stop_reason is StopReason.THRESHOLD
     assert len(record) == info.iterations
     assert record.pde_misfit[-1] <= 0.5 * info.initial_pde_misfit
+
+
+def test_run_batch_mu1_failure_names_frequency(monkeypatch):
+    class NanFactorization:
+        def __init__(self, A):
+            self.n = A.shape[0]
+
+        def solve(self, rhs, adjoint=False):
+            return np.full(np.shape(rhs), np.nan, dtype=complex)
+
+    v_true, dataset, settings = small_setup()
+    monkeypatch.setattr(workflow, "lu_factorize", NanFactorization)
+    m0 = velocity_to_slowness_sq(build_homogeneous(v_true.grid, 1850.0))
+    with pytest.raises(SolverError) as info:
+        run_batch(m0, dataset, settings, StoppingCriteria(k_max=2))
+    assert info.value.frequency == 5.0
+    assert "5.0 Hz" in str(info.value)
 
 
 def test_run_inversion_single_batch_equals_run_batch():
