@@ -223,6 +223,59 @@ def test_power_iteration_matches_dense_eig(rng):
         assert abs(result.value - mu_dense) <= 1e-12 * mu_dense
 
 
+def _n_space_rayleigh_quotients(a_factorization, P, n_it, seed):
+    """Reference: Rayleigh quotients of the power iteration on n-vectors, two sparse solves a step."""
+    P = sp.csr_matrix(P)
+    Pt = P.conjugate().T.tocsr()
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(a_factorization.n) + 1j * rng.standard_normal(a_factorization.n)
+    v /= np.linalg.norm(v)
+    quotients = []
+    for _ in range(n_it):
+        y = a_factorization.solve(Pt @ (P @ a_factorization.solve(v)), adjoint=True)
+        quotients.append(float(np.real(np.vdot(v, y))))
+        v = y / np.linalg.norm(y)
+    return np.array(quotients)
+
+
+def _box_systems():
+    from iwri.acquisition import build_observation
+    from iwri.grid import velocity_to_slowness_sq
+    from iwri.helmholtz import PmlConfig, StencilScheme, build_kernel
+    from iwri.presets import box_anomaly_setup
+
+    setup = box_anomaly_setup()
+    grid = setup.true_model.grid
+    pml = PmlConfig().resolved(grid, setup.bounds.v_max)
+    m0 = velocity_to_slowness_sq(setup.initial_model).values
+    for f in setup.frequencies:
+        kern = build_kernel(grid, 2.0 * np.pi * f, pml, StencilScheme())
+        yield kern.assemble(m0), build_observation(kern.topology, setup.geometry.receivers)
+
+
+def test_power_iteration_factored_matches_n_space_loop():
+    from tests_helpers_toy import toy_helmholtz_system
+
+    # The exact receiver-space mu1 bounds every Rayleigh quotient of the
+    # n-space power iteration from above, and the loop closes on it.
+    runs = [(A, P, 300, 1234, 1e-11) for A, P in _box_systems()]
+    runs[2] = (*runs[2][:4], 2e-3)  # 7 Hz: the loop is still 1.3e-3 short after 300 steps
+    runs.append((*toy_helmholtz_system(nx=12, nz=9, n_receivers=3), 30, 11, 1e-12))
+    stops = []
+    for A, P, n_it, seed, gap in runs:
+        a_lu = lu_factorize(A)
+        exact = power_iteration_mu1(a_lu, P).value
+        q = _n_space_rayleigh_quotients(a_lu, P, n_it, seed)
+        assert np.all(q <= exact * (1.0 + 1e-12))
+        assert np.all(np.diff(q) >= -1e-12 * exact)
+        assert exact - q[-1] <= gap * exact
+        # where a relative-change tolerance of 1e-4 would have stopped the loop
+        stop = 1 + int(np.argmax(np.abs(np.diff(q, prepend=0.0)) < 1e-4 * q))
+        stops.append((stop, (exact - q[stop - 1]) / exact))
+    assert [s for s, _ in stops[:3]] == [9, 14, 28]  # the box's 2.5, 5 and 7 Hz
+    assert stops[2][1] > 2e-3  # that stop leaves 7 Hz well short of mu1
+
+
 class _NanSolve:
     n = 4
 
