@@ -10,8 +10,8 @@ from .helmholtz import (HelmholtzKernel, PmlConfig, StencilScheme, analytic_gree
                         build_kernel, forward_solve)
 from .acquisition import (AcquisitionGeometry, FrequencyDataset, add_noise,
                           build_observation, build_source, ricker_spectrum, synthesize_data)
-from .linalg import (LuFactorization, PowerIterationResult, SparseFactorization,
-                     assemble_normal_matrix, factorize, lu_factorize, power_iteration_mu1)
+from .linalg import (PowerIterationResult, SparseFactorization, assemble_normal_matrix,
+                     factorize, lu_factorize, power_iteration_mu1)
 from .engine import (BoxConstraintState, CycleStats, DualState, InversionProblem,
                      IterationState, PenaltyParams, Variant, estimate_model, init_state,
                      inner_refine, reconstruct_wavefield, update_data_dual,

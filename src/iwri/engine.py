@@ -179,7 +179,7 @@ class InversionProblem:
     observed data, bounds, and reference fields for error tracking."""
 
     def __init__(self, grid, pml, scheme, dataset, *, bounds=None, m_true=None,
-                 reference_wavefields=True, bounds_mode="bregman"):
+                 bounds_mode="bregman"):
         self.grid = grid
         self.scheme = scheme
         self.bounds_mode = bounds_mode
@@ -218,9 +218,8 @@ class InversionProblem:
         self.u_star = None
         if m_true is not None:
             self.m_star = velocity_to_slowness_sq(m_true).values
-            if reference_wavefields:
-                self.u_star = [forward_solve(k.assemble(self.m_star), b)
-                               for k, b in zip(self.kernels, self.sources)]
+            self.u_star = [forward_solve(k.assemble(self.m_star), b)
+                           for k, b in zip(self.kernels, self.sources)]
 
     @property
     def n_receivers(self):
@@ -279,7 +278,7 @@ def wri_objective(A, P, u, d_eff, b_eff, lam):
     return data, pde
 
 
-def _mass_adjoint(kernel, u, r):
+def _mass_rmatvec(kernel, u, r):
     """Re(L(u)^H r) restricted to the physical cells, summed over source
     columns: bincount(phys_of_pad, Re(omega^2 conj(u) S^H r))."""
     sh_r = kernel.mass_basis.conjugate().T @ r
@@ -290,10 +289,10 @@ def _mass_adjoint(kernel, u, r):
 
 def wri_gradient_m(kernel, m_values, u, b_eff):
     """Gradient of 1/2 ||A(m) u - b_eff||^2 with respect to the physical
-    model at fixed u (exact adjoint of the mass linearization)."""
+    model at fixed u, exact through L(u)^H."""
     u = np.atleast_2d(np.asarray(u).T).T  # promote (n,) to (n, 1)
     b_eff = np.atleast_2d(np.asarray(b_eff).T).T
-    return _mass_adjoint(kernel, u, kernel.assemble(m_values) @ u - b_eff)
+    return _mass_rmatvec(kernel, u, kernel.assemble(m_values) @ u - b_eff)
 
 
 def estimate_model(normal, rhs, lo, hi, box, *, ordering=None, mode="bregman"):
@@ -380,7 +379,7 @@ def _model_phase(problem, state, params):
 
     warned = False
     for _ in range(params.inner_iterations):
-        rhs = sum(_mass_adjoint(kern, u, b + b_dual - kern.laplacian @ u)
+        rhs = sum(_mass_rmatvec(kern, u, b + b_dual - kern.laplacian @ u)
                   for kern, u, b, b_dual in zip(problem.kernels, state.u, problem.sources,
                                                 duals.source))
         try:

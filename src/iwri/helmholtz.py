@@ -324,7 +324,7 @@ def build_kernel(grid, omega, pml, scheme, v_ref=None):
 def _digest(A, b):
     """Content key of a forward solve: A as CSR and b, with shapes and dtypes."""
     A = sp.csr_matrix(A)
-    h = hashlib.blake2b(digest_size=32)
+    h = hashlib.sha256()
     for arr in (A.indptr, A.indices, A.data, b):
         arr = np.ascontiguousarray(arr)
         h.update(f"{arr.shape}{arr.dtype.str};".encode())

@@ -1,11 +1,12 @@
-"""Sparse complex linear algebra: normal-matrix assembly, Hermitian
-factorization with repeated multi-right-hand-side solves, general LU for
-the forward operator, and the largest eigenvalue of the data-resolution
-operator.
+"""Sparse complex linear algebra: normal-matrix assembly, one
+factorization type with repeated multi-right-hand-side solves, and the
+largest eigenvalue of the data-resolution operator.
 
-The Hermitian path factors the matrix with LAPACK's banded Cholesky after
-a bandwidth-reducing reordering; when the band would be too wide to store
-it falls back to a general sparse LU (SuperLU).  Both backends honor the
+``factorize`` factors a Hermitian matrix with LAPACK's banded Cholesky
+after a bandwidth-reducing reordering; when the band would be too wide to
+store it falls back to a general sparse LU (SuperLU).  ``lu_factorize``
+takes that SuperLU path directly for a general complex matrix, such as the
+non-Hermitian forward operator A or A^H.  Both backends honor the
 same contract: small relative residuals on repeated solves against an
 immutable factorization.
 """
@@ -81,8 +82,9 @@ class BandLayout:
 
 
 class SparseFactorization:
-    """Immutable factorization of a sparse Hermitian positive definite
-    matrix, reusable for any number of right-hand sides."""
+    """Immutable factorization of a sparse square matrix, reusable for any
+    number of right-hand sides: a banded Cholesky of a Hermitian positive
+    definite matrix, or SuperLU factors of any invertible one."""
 
     def __init__(self, backend, n, *, band=None, layout=None, lu=None, dtype=None):
         self._backend = backend
@@ -102,9 +104,8 @@ class SparseFactorization:
                                      check_finite=False)
             return x[self._layout.inv]
         split = np.iscomplexobj(rhs) and self._dtype.kind != "c"  # real factor: Re, Im apart
-        with self._lock:
-            x = [self._lu.solve(np.ascontiguousarray(part, dtype=self._dtype))
-                 for part in ((rhs.real, rhs.imag) if split else (rhs,))]
+        with self._lock:  # SuperLU casts each part to its dtype in its own Fortran-order copy
+            x = [self._lu.solve(part) for part in ((rhs.real, rhs.imag) if split else (rhs,))]
         return x[0] + 1j * x[1] if split else x[0]
 
 
@@ -138,43 +139,26 @@ def factorize(H, ordering=None):
             raise FactorizationError(f"banded Cholesky breakdown: {exc}", pivot_index=pivot) from exc
         return SparseFactorization("banded", n, band=cb, layout=layout)
 
+    return SparseFactorization("splu", n, lu=_splu(H, dtype, 0.01), dtype=dtype)
+
+
+def _splu(M, dtype, diag_pivot_thresh):
+    """SuperLU factors of ``M`` cast to ``dtype``, on a symmetric-pattern
+    ordering with the given diagonal pivot threshold."""
     try:
-        lu = spla.splu(H.tocsc().astype(dtype), permc_spec="MMD_AT_PLUS_A",
-                       diag_pivot_thresh=0.01, options={"SymmetricMode": True})
+        return spla.splu(M.tocsc().astype(dtype), permc_spec="MMD_AT_PLUS_A",
+                         diag_pivot_thresh=diag_pivot_thresh, options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise FactorizationError(f"sparse LU breakdown: {exc}") from exc
-    return SparseFactorization("splu", n, lu=lu, dtype=dtype)
-
-
-class LuFactorization:
-    """General sparse LU (for the non-Hermitian forward operator); solves
-    both A x = b and A^H x = b from the same factors."""
-
-    def __init__(self, lu, n):
-        self._lu = lu
-        self.n = n
-        self._lock = threading.Lock()
-
-    def solve(self, rhs, adjoint=False):
-        rhs = np.asarray(rhs)
-        if rhs.shape[0] != self.n:
-            raise ShapeError(f"right-hand side has length {rhs.shape[0]}, expected {self.n}")
-        with self._lock:
-            return self._lu.solve(np.ascontiguousarray(rhs, dtype=np.complex128),
-                                  trans="H" if adjoint else "N")
 
 
 def lu_factorize(A):
-    """Sparse LU of a general square complex matrix."""
+    """Sparse LU of a general square complex matrix (SuperLU backend)."""
     A = sp.csc_matrix(A)
     if A.shape[0] != A.shape[1]:
         raise ShapeError(f"matrix must be square, got {A.shape}")
-    try:
-        lu = spla.splu(A.astype(np.complex128), permc_spec="MMD_AT_PLUS_A",
-                       diag_pivot_thresh=0.1, options={"SymmetricMode": True})
-    except RuntimeError as exc:
-        raise FactorizationError(f"sparse LU breakdown: {exc}") from exc
-    return LuFactorization(lu, A.shape[0])
+    dtype = np.dtype(np.complex128)
+    return SparseFactorization("splu", A.shape[0], lu=_splu(A, dtype, 0.1), dtype=dtype)
 
 
 @dataclass(frozen=True)
@@ -183,22 +167,24 @@ class PowerIterationResult:
     iterations: int  # eigen-solves that gave ``value``: always 1
 
 
-def power_iteration_mu1(a_factorization, P):
+def power_iteration_mu1(A, P):
     """Largest eigenvalue mu1 of A^{-H} P^H P A^{-1}, exact to rounding.
 
-    The operator is X X^H with X = A^{-H} P^H, which one block adjoint solve
-    gives (one column per receiver).  Its nonzero eigenvalues are those of
-    the small matrix M = X^H X (receivers x receivers), so mu1 is the largest
-    eigenvalue of M.  Raises ``FactorizationError`` when X is not finite.
+    The operator is X X^H with X = A^{-H} P^H, which the LU of A^H and one
+    solve give (one column per receiver).  Its nonzero eigenvalues are those
+    of the small matrix M = X^H X (receivers x receivers), so mu1 is the
+    largest eigenvalue of M.  Raises ``FactorizationError`` when X is not
+    finite.
 
     The name and the ``iterations`` field are those of the power iteration
     this replaced: the benchmark's tracer wraps the function by this name
     and counts ``iterations``, one per mu1 evaluation.
     """
     P = sp.csr_matrix(P)
-    if P.shape[1] != a_factorization.n:
-        raise ShapeError(f"P has {P.shape[1]} columns, operator dimension is {a_factorization.n}")
-    X = a_factorization.solve(P.conjugate().T.toarray(), adjoint=True)
+    if P.shape[1] != A.shape[0]:
+        raise ShapeError(f"P has {P.shape[1]} columns, operator dimension is {A.shape[0]}")
+    X = lu_factorize(A.conjugate().T).solve(P.conjugate().T.toarray())
     if not np.all(np.isfinite(X)):
-        raise FactorizationError("adjoint solve for mu1 is not finite")
-    return PowerIterationResult(float(np.linalg.eigvalsh(X.conjugate().T @ X)[-1]), 1)
+        raise FactorizationError("solve for mu1 is not finite")
+    M = sla.blas.zherk(1.0, X, trans=2)  # X^H X, upper triangle, without a copy of X
+    return PowerIterationResult(float(np.linalg.eigvalsh(M, UPLO="U")[-1]), 1)

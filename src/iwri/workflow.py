@@ -12,7 +12,7 @@ from .engine import (InversionProblem, PenaltyParams, Variant, init_state,
 from .errors import ConfigError, FactorizationError, ParameterError, SolverError
 from .grid import SlownessSqModel, slowness_sq_to_velocity, velocity_to_slowness_sq
 from .helmholtz import PmlConfig, StencilScheme
-from .linalg import lu_factorize, power_iteration_mu1
+from .linalg import power_iteration_mu1
 
 
 @dataclass
@@ -126,9 +126,8 @@ class InversionSettings:
 
 
 def estimate_mu1(kernel, m_values, P):
-    """Largest eigenvalue of A(m)^{-H} P^H P A(m)^{-1}, from a sparse LU of
-    A(m)."""
-    return power_iteration_mu1(lu_factorize(kernel.assemble(m_values)), P).value
+    """Largest eigenvalue of A(m)^{-H} P^H P A(m)^{-1}."""
+    return power_iteration_mu1(kernel.assemble(m_values), P).value
 
 
 @dataclass

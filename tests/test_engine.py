@@ -496,8 +496,7 @@ def test_nonpositive_model_iterate_fails_fast():
     dataset = add_noise(synthesize_data(m_true, setup.geometry, setup.frequencies,
                                         settings.pml, settings.scheme, f0=setup.f0), -10.0, 0)
     problem = InversionProblem(m_true.grid, settings.pml, settings.scheme, dataset,
-                               m_true=setup.true_model, reference_wavefields=False,
-                               bounds_mode="clip")
+                               m_true=setup.true_model, bounds_mode="clip")
     lambdas = [compute_lambda(estimate_mu1(k, m0, problem.P),
                               settings.lambda_fraction) for k in problem.kernels]
     state = init_state(problem, m0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-import iwri.workflow as workflow
+import iwri.linalg as linalg
 from iwri.errors import ConfigError, ParameterError, SolverError
 from iwri.grid import Bounds, Grid2D, VelocityModel, build_homogeneous, velocity_to_slowness_sq
 from iwri.helmholtz import PmlConfig, StencilScheme
@@ -144,11 +144,11 @@ def test_run_batch_mu1_failure_names_frequency(monkeypatch):
         def __init__(self, A):
             self.n = A.shape[0]
 
-        def solve(self, rhs, adjoint=False):
+        def solve(self, rhs):
             return np.full(np.shape(rhs), np.nan, dtype=complex)
 
     v_true, dataset, settings = small_setup()
-    monkeypatch.setattr(workflow, "lu_factorize", NanFactorization)
+    monkeypatch.setattr(linalg, "lu_factorize", NanFactorization)
     m0 = velocity_to_slowness_sq(build_homogeneous(v_true.grid, 1850.0))
     with pytest.raises(SolverError) as info:
         run_batch(m0, dataset, settings, StoppingCriteria(k_max=2))
