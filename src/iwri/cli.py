@@ -21,8 +21,8 @@ from . import __version__
 from .acquisition import add_noise, build_observation, synthesize_data
 from .engine import resolve_pml
 from .errors import ConfigError, FactorizationError, FormatError, IwriError, SolverError
-from .fileio import (load_config, read_dataset, read_model_file, write_convergence_csv,
-                     write_dataset, write_model_file, write_raster)
+from .fileio import (_CONFIG_KEYS, RunConfig, load_config, read_dataset, read_model_file,
+                     write_convergence_csv, write_dataset, write_model_file, write_raster)
 from .grid import velocity_to_slowness_sq
 from .helmholtz import build_kernel
 from .refinement import DenseProblem, accumulated_rhs_solve, iterative_refine, pseudo_inverse_solve
@@ -46,11 +46,8 @@ def _build_parser():
     inv = sub.add_parser("invert", help="run the inversion")
     inv.add_argument("--config", required=True)
     inv.add_argument("--out", required=True)
-    inv.add_argument("--variant", choices=["wri", "admm", "prsm"])
-    inv.add_argument("--lambda-fraction", type=float)
-    inv.add_argument("--alpha", type=float)
-    inv.add_argument("--inner-n", type=int)
-    inv.add_argument("--snr-db", type=float)
+    for flag in ("--variant", "--lambda-fraction", "--alpha", "--inner-n", "--snr-db"):
+        inv.add_argument(flag, help=f"overrides config key {flag[2:].replace('-', '_')}")
 
     mu = sub.add_parser("mu1", help="largest eigenvalue of the data-resolution operator")
     mu.add_argument("--config", required=True)
@@ -77,29 +74,23 @@ def _write_metadata(out_dir, payload):
 
 
 def _apply_overrides(config, args):
-    overrides = {
-        "variant": args.variant,
-        "lambda_fraction": args.lambda_fraction,
-        "alpha": args.alpha,
-        "inner_n": args.inner_n,
-        "snr_db": args.snr_db,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            config.raw[key] = str(value)
-    return config
+    """The config with the given flags (named after their keys) in place of
+    its values, parsed as if they were in the file."""
+    given = {key: value for key, value in vars(args).items()
+             if key in _CONFIG_KEYS and value is not None}
+    return RunConfig({**config.raw, **given}, config.base_dir)
 
 
 def _cmd_forward(args):
     config = load_config(args.config)
+    true_model = read_model_file(config.path("true_model"))
+    geometry, frequencies, settings = config.geometry(), config.frequencies(), config.settings()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    true_model = read_model_file(config.path("true_model"))
-    dataset = synthesize_data(velocity_to_slowness_sq(true_model), config.geometry(),
-                              config.frequencies(), config.pml(), config.settings().scheme,
-                              f0=config._float("f0"))
+    dataset = synthesize_data(velocity_to_slowness_sq(true_model), geometry, frequencies,
+                              settings.pml, settings.scheme, f0=config.value("f0"))
     snr = config.snr_db()
-    dataset = add_noise(dataset, snr, config._int("noise_seed"))
+    dataset = add_noise(dataset, snr, config.value("noise_seed"))
     write_dataset(dataset, out_dir / "dataset.iwd")
     _write_metadata(out_dir, {
         "command": "forward",
@@ -116,23 +107,22 @@ def _cmd_forward(args):
 
 def _cmd_invert(args):
     config = _apply_overrides(load_config(args.config), args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     initial = read_model_file(config.path("initial_model"))
     dataset = read_dataset(config.path("data"))
     m_true = read_model_file(config.path("true_model")) if config.has("true_model") else None
+    settings, criteria, plan = config.settings(), config.criteria(), config.plan()
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     snr = config.snr_db()
     if not math.isinf(snr):
         if dataset.seed is None:
-            dataset = add_noise(dataset, snr, config._int("noise_seed"))
+            dataset = add_noise(dataset, snr, config.value("noise_seed"))
         else:
             print("dataset already carries noise; not adding more")
 
-    settings = config.settings()
-    criteria = config.criteria()
     started = time.perf_counter()
-    result = run_inversion(initial, config.plan(), dataset, settings, criteria, m_true=m_true)
+    result = run_inversion(initial, plan, dataset, settings, criteria, m_true=m_true)
     elapsed = time.perf_counter() - started
 
     write_model_file(result.final_model, out_dir / "final_model.mod")
@@ -179,8 +169,6 @@ def _cmd_mu1(args):
 
 def _cmd_scan_lambda(args):
     config = load_config(args.config)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         fractions = [float(v) for v in args.fractions.split(",") if v]
     except ValueError as exc:
@@ -194,6 +182,8 @@ def _cmd_scan_lambda(args):
     base = config.settings()
     criteria = config.criteria()
     m0 = velocity_to_slowness_sq(initial)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     summary = ["fraction,iterations,stop_reason,final_pde_misfit,final_data_misfit,final_model_error"]
     for fraction in fractions:

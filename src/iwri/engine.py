@@ -249,8 +249,9 @@ def init_state(problem, m0_values):
 
 def reconstruct_wavefield(factorization, P, A, lam, d_eff, b_eff):
     """Closed-form wavefield: minimizer of
-    1/2 ||P u - d_eff||^2 + lam/2 ||A u - b_eff||^2."""
-    rhs = P.conjugate().T @ d_eff + lam * (A.conjugate().T @ b_eff)
+    1/2 ||P u - d_eff||^2 + lam/2 ||A u - b_eff||^2.  A^H b is formed as
+    conj(A^T conj(b)), which copies no matrix."""
+    rhs = P.conjugate().T @ d_eff + lam * np.conj(A.T @ np.conj(b_eff))
     return factorization.solve(rhs)
 
 
@@ -281,7 +282,7 @@ def wri_objective(A, P, u, d_eff, b_eff, lam):
 def _mass_rmatvec(kernel, u, r):
     """Re(L(u)^H r) restricted to the physical cells, summed over source
     columns: bincount(phys_of_pad, Re(omega^2 conj(u) S^H r))."""
-    sh_r = kernel.mass_basis.conjugate().T @ r
+    sh_r = np.conj(kernel.mass_basis.T @ np.conj(r))
     g_pad = np.sum(np.real(kernel.omega**2 * np.conj(u) * sh_r), axis=1)
     return np.bincount(kernel.topology.phys_of_pad, weights=g_pad,
                        minlength=kernel.grid.n)

@@ -12,8 +12,12 @@ from pathlib import Path
 import numpy as np
 
 from .acquisition import AcquisitionGeometry, FrequencyDataset
+from .engine import Variant
 from .errors import ConfigError, FormatError
-from .grid import Grid2D, VelocityModel
+from .grid import Bounds, Grid2D, VelocityModel
+from .helmholtz import PmlConfig, StencilScheme
+from .workflow import (ContinuationPlan, ConvergenceRecord, InversionSettings,
+                       StoppingCriteria)
 
 MODEL_MAGIC = "IWRI-MODEL-1"
 DATA_MAGIC = "IWRI-DATA-1"
@@ -102,7 +106,7 @@ def _parse_points(text):
     for item in text.split(";"):
         x, z = item.split(",")
         pts.append((float(x), float(z)))
-    return pts
+    return tuple(pts)
 
 
 def read_dataset(path):
@@ -120,8 +124,8 @@ def read_dataset(path):
         scales = tuple(float(v) for v in fields["scale"].split())
         eps = np.array([float(v) for v in fields["eps"].split()])
         seed = None if fields["seed"] == "-" else int(fields["seed"])
-        geometry = AcquisitionGeometry(sources=tuple(_parse_points(fields["src"])),
-                                       receivers=tuple(_parse_points(fields["rec"])))
+        geometry = AcquisitionGeometry(sources=_parse_points(fields["src"]),
+                                       receivers=_parse_points(fields["rec"]))
     except (KeyError, ValueError) as exc:
         raise FormatError(f"{path}: malformed header: {exc}", offset=0) from exc
     if len(freqs) != nfreq or len(scales) != nfreq or eps.size != nfreq:
@@ -167,8 +171,6 @@ def write_convergence_csv(record, path):
 
 
 def read_convergence_csv(path):
-    from .workflow import ConvergenceRecord
-
     text = Path(path).read_text(encoding="ascii").strip().split("\n")
     header = text[0].split(",")
     record = ConvergenceRecord()
@@ -215,69 +217,102 @@ def write_raster(field, path, scaling="minmax"):
 
 # -- run configuration ----------------------------------------------------------
 
-_CONFIG_KEYS = {
-    "true_model", "initial_model", "data",
-    "sources", "receivers", "receiver_line",
-    "frequencies", "batches", "paths", "f0",
-    "variant", "lambda_fraction", "alpha", "inner_n",
-    "v_min", "v_max", "bounds_mode",
-    "pml_layers", "pml_exponent", "pml_damping", "pml_free_top",
-    "k_max", "delta", "eps_n",
-    "snr_db", "noise_seed",
-}
 
-_DEFAULTS = {
-    "paths": "0",
-    "f0": "5.0",
-    "variant": "prsm",
-    "lambda_fraction": "1e-4",
-    "alpha": "0.5",
-    "inner_n": "1",
-    "bounds_mode": "bregman",
-    "pml_layers": "10",
-    "pml_exponent": "2.0",
-    "pml_damping": "auto",
-    "pml_free_top": "false",
-    "k_max": "100",
-    "delta": "1e-3",
-    "eps_n": "auto",
-    "snr_db": "inf",
-    "noise_seed": "0",
+def _floats(text):
+    values = tuple(float(v) for v in text.split())
+    if not values:
+        raise ValueError("needs at least one value")
+    return values
+
+
+def _receiver_line(text):
+    x, z0, z1, count = text.split()
+    return tuple((float(x), z) for z in np.linspace(float(z0), float(z1), int(count)))
+
+
+def _float_or(word, value):
+    """Parser of a float, or of ``word`` (any case) standing for ``value``."""
+    return lambda text: value if text.lower() == word else float(text)
+
+
+def _choice(*options):
+    def parse(text):
+        if text not in options:
+            raise ValueError(f"expected one of {', '.join(options)}, got {text!r}")
+        return text
+    return parse
+
+
+def _boolean(text):
+    words = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+    if text.lower() not in words:
+        raise ValueError(f"expected true/false/yes/no/1/0, got {text!r}")
+    return words[text.lower()]
+
+
+# key: (default text, or None when the key has no default; parser of the text)
+_CONFIG_KEYS = {
+    "true_model": (None, str),
+    "initial_model": (None, str),
+    "data": (None, str),
+    "sources": (None, _parse_points),
+    "receivers": (None, _parse_points),
+    "receiver_line": (None, _receiver_line),
+    "frequencies": (None, _floats),
+    "batches": (None, lambda text: tuple(_floats(part) for part in text.split("|"))),
+    "paths": ("0", lambda text: tuple(int(v) for v in text.split())),
+    "f0": ("5.0", float),
+    "variant": ("prsm", lambda text: Variant(text.lower())),
+    "lambda_fraction": ("1e-4", float),
+    "alpha": ("0.5", float),
+    "inner_n": ("1", int),
+    "v_min": (None, float),
+    "v_max": (None, float),
+    "bounds_mode": ("bregman", _choice("bregman", "clip")),
+    "pml_layers": ("10", int),
+    "pml_exponent": ("2.0", float),
+    "pml_damping": ("auto", _float_or("auto", None)),
+    "pml_free_top": ("false", _boolean),
+    "k_max": ("100", int),
+    "delta": ("1e-3", float),
+    "eps_n": ("auto", _float_or("auto", None)),
+    "snr_db": ("inf", _float_or("none", math.inf)),  # float() reads "inf" itself
+    "noise_seed": ("0", int),
 }
 
 
 @dataclass
 class RunConfig:
-    """Parsed and validated run configuration (flat key=value file)."""
+    """Run configuration (flat key=value file).  ``raw`` holds the text of
+    every key after defaulting; each value is parsed once, on construction,
+    and the accessors only assemble objects from the parsed values."""
 
     raw: dict
     base_dir: Path
 
     def __post_init__(self):
-        unknown = set(self.raw) - _CONFIG_KEYS
+        unknown = set(self.raw) - set(_CONFIG_KEYS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        self.raw = {**_DEFAULTS, **self.raw}
+        defaults = {key: default for key, (default, _) in _CONFIG_KEYS.items()
+                    if default is not None}
+        self.raw = {**defaults, **self.raw}
+        self._values = {}
+        for key, text in self.raw.items():
+            try:
+                self._values[key] = _CONFIG_KEYS[key][1](text)
+            except ValueError as exc:
+                raise ConfigError(f"config key {key!r}: {exc}") from exc
 
-    # -- typed accessors ---------------------------------------------------
-
-    def _float(self, key):
-        try:
-            return float(self.raw[key])
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"config key {key!r}: {exc}") from exc
-
-    def _int(self, key):
-        try:
-            return int(self.raw[key])
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"config key {key!r}: {exc}") from exc
-
-    def path(self, key, must_exist=True):
-        if key not in self.raw:
+    def value(self, key):
+        """The parsed value of ``key``; ConfigError if the key is unset."""
+        if key not in self._values:
             raise ConfigError(f"config key {key!r} is required")
-        p = self.base_dir / self.raw[key]
-        if must_exist and not p.exists():
+        return self._values[key]
+
+    def path(self, key):
+        p = self.base_dir / self.value(key)
+        if not p.exists():
             raise ConfigError(f"config key {key!r}: file {p} does not exist")
         return p
 
@@ -285,111 +320,52 @@ class RunConfig:
         return key in self.raw
 
     def frequencies(self):
-        try:
-            freqs = tuple(float(v) for v in self.raw["frequencies"].split())
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"config key 'frequencies': {exc}") from exc
-        if not freqs:
-            raise ConfigError("config key 'frequencies' must list at least one value")
-        return freqs
+        return self.value("frequencies")
 
     def geometry(self):
-        if "sources" not in self.raw:
-            raise ConfigError("config key 'sources' is required")
-        try:
-            sources = _parse_points(self.raw["sources"])
-        except ValueError as exc:
-            raise ConfigError(f"config key 'sources': {exc}") from exc
-        if "receivers" in self.raw:
-            try:
-                receivers = _parse_points(self.raw["receivers"])
-            except ValueError as exc:
-                raise ConfigError(f"config key 'receivers': {exc}") from exc
-        elif "receiver_line" in self.raw:
-            try:
-                x, z0, z1, count = self.raw["receiver_line"].split()
-                receivers = [(float(x), z) for z in
-                             np.linspace(float(z0), float(z1), int(count))]
-            except ValueError as exc:
-                raise ConfigError(f"config key 'receiver_line': {exc}") from exc
+        if self.has("receivers"):
+            receivers = self.value("receivers")
+        elif self.has("receiver_line"):
+            receivers = self.value("receiver_line")
         else:
             raise ConfigError("need 'receivers' or 'receiver_line'")
-        return AcquisitionGeometry(sources=tuple(sources), receivers=tuple(receivers))
+        return AcquisitionGeometry(sources=self.value("sources"), receivers=receivers)
 
     def bounds(self):
-        from .grid import Bounds
-
-        if ("v_min" in self.raw) != ("v_max" in self.raw):
+        if self.has("v_min") != self.has("v_max"):
             raise ConfigError("v_min and v_max must be given together")
-        if "v_min" not in self.raw:
-            return None
-        return Bounds(self._float("v_min"), self._float("v_max"))
+        return Bounds(self.value("v_min"), self.value("v_max")) if self.has("v_min") else None
 
     def pml(self):
-        from .helmholtz import PmlConfig
-
-        damping = self.raw["pml_damping"]
         sides = {"top", "bottom", "left", "right"}
-        if self.raw["pml_free_top"].lower() in ("true", "1", "yes"):
+        if self.value("pml_free_top"):
             sides.discard("top")
-        return PmlConfig(
-            n_layers=self._int("pml_layers"),
-            profile_exponent=self._float("pml_exponent"),
-            max_damping=None if damping == "auto" else float(damping),
-            sides=frozenset(sides),
-        )
+        return PmlConfig(n_layers=self.value("pml_layers"),
+                         profile_exponent=self.value("pml_exponent"),
+                         max_damping=self.value("pml_damping"), sides=frozenset(sides))
 
     def settings(self):
-        from .engine import Variant
-        from .helmholtz import StencilScheme
-        from .workflow import InversionSettings
-
-        try:
-            variant = Variant(self.raw["variant"].lower())
-        except ValueError as exc:
-            raise ConfigError(f"config key 'variant': {exc}") from exc
         return InversionSettings(
-            variant=variant,
-            alpha=self._float("alpha"),
-            inner_iterations=self._int("inner_n"),
-            lambda_fraction=self._float("lambda_fraction"),
+            variant=self.value("variant"),
+            alpha=self.value("alpha"),
+            inner_iterations=self.value("inner_n"),
+            lambda_fraction=self.value("lambda_fraction"),
             bounds=self.bounds(),
-            bounds_mode=self.raw["bounds_mode"],
+            bounds_mode=self.value("bounds_mode"),
             pml=self.pml(),
             scheme=StencilScheme(),
         )
 
     def plan(self):
-        from .workflow import ContinuationPlan
-
-        freqs = self.frequencies()
-        if "batches" in self.raw:
-            batches = []
-            for part in self.raw["batches"].split("|"):
-                batch = tuple(float(v) for v in part.split())
-                if not batch:
-                    raise ConfigError("empty batch in 'batches'")
-                batches.append(batch)
-        else:
-            batches = [freqs]
-        paths = tuple(int(v) for v in self.raw["paths"].split())
-        return ContinuationPlan(batches=tuple(batches), paths=paths)
+        batches = self.value("batches") if self.has("batches") else (self.frequencies(),)
+        return ContinuationPlan(batches=batches, paths=self.value("paths"))
 
     def criteria(self):
-        from .workflow import StoppingCriteria
-
-        eps = self.raw["eps_n"]
-        return StoppingCriteria(
-            k_max=self._int("k_max"),
-            delta=self._float("delta"),
-            eps_n=None if eps == "auto" else float(eps),
-        )
+        return StoppingCriteria(k_max=self.value("k_max"), delta=self.value("delta"),
+                                eps_n=self.value("eps_n"))
 
     def snr_db(self):
-        value = self.raw["snr_db"]
-        if value.lower() in ("inf", "+inf", "none"):
-            return math.inf
-        return float(value)
+        return self.value("snr_db")
 
     def resolved(self):
         """Flat dict of every key after defaulting (for run metadata)."""

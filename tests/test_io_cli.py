@@ -232,6 +232,51 @@ def test_config_receiver_line(tmp_path):
     assert geo.receivers == ((85.0, 15.0), (85.0, 40.0), (85.0, 65.0))
 
 
+_MALFORMED = [("snr_db", "abc"), ("paths", "x"), ("batches", "2.5 | five"),
+              ("pml_damping", "strong"), ("eps_n", "tiny"), ("pml_free_top", "maybe"),
+              ("bounds_mode", "sideways")]
+
+
+@pytest.mark.parametrize("key,value", _MALFORMED)
+def test_config_malformed_value_rejected_at_load(tmp_path, key, value):
+    cfg = write_config(tmp_path)
+    kept = [line for line in cfg.read_text().splitlines() if not line.startswith(f"{key} =")]
+    cfg.write_text("\n".join(kept + [f"{key} = {value}"]) + "\n")
+    with pytest.raises(ConfigError, match=f"config key '{key}'"):
+        load_config(cfg)
+
+
+def test_cli_malformed_value_exits_before_any_work(tmp_path, capsys):
+    seed_models(tmp_path)
+    cfg = write_config(tmp_path, extra="pml_free_top = maybe\n",
+                       data_line="data = out/dataset.iwd\n")
+    assert cli_dispatch(["invert", "--config", str(cfg), "--out", str(tmp_path / "inv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config key 'pml_free_top'")
+    assert "Traceback" not in err
+    assert not (tmp_path / "inv").exists()
+    # the invert flags go through the same parsers
+    cfg = write_config(tmp_path, data_line="data = out/dataset.iwd\n")
+    assert cli_dispatch(["invert", "--config", str(cfg), "--out", str(tmp_path / "inv"),
+                         "--variant", "sideways"]) == 1
+    assert capsys.readouterr().err.startswith("error: config key 'variant'")
+
+
+@pytest.mark.parametrize("word,free", [("true", True), ("Yes", True), ("1", True),
+                                       ("false", False), ("no", False), ("0", False)])
+def test_config_pml_free_top_words(tmp_path, word, free):
+    cfg = write_config(tmp_path, extra=f"pml_free_top = {word}\n")
+    assert ("top" not in load_config(cfg).pml().sides) == free
+
+
+def test_cli_missing_input_leaves_no_output_directory(tmp_path):
+    cfg = write_config(tmp_path, data_line="data = out/dataset.iwd\n")  # models not written
+    for argv in (["forward"], ["invert"], ["scan-lambda", "--fractions", "1e-4"]):
+        out = tmp_path / "o"
+        assert cli_dispatch([*argv, "--config", str(cfg), "--out", str(out)]) == 1
+        assert not out.exists(), argv
+
+
 def test_config_missing_file_rejected(tmp_path):
     cfg = write_config(tmp_path)  # models not written
     with pytest.raises(ConfigError):
