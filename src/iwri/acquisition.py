@@ -7,7 +7,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import GeometryError, ParameterError, ShapeError
-from .helmholtz import build_kernel, forward_solve
+from .grid import slowness_sq_to_velocity
+from .helmholtz import build_kernel, forward_solve, pad_topology, resolve_pml
 
 
 @dataclass(frozen=True)
@@ -70,12 +71,17 @@ def build_source(topology, src_pos, amplitude=1.0):
     return b
 
 
+def source_matrix(topology, sources, amplitude):
+    """The sources of one frequency as columns, each scaled by ``amplitude``."""
+    return np.column_stack([build_source(topology, s, amplitude) for s in sources])
+
+
 def ricker_spectrum(f, f0):
     """Amplitude spectrum of a zero-phase Ricker wavelet with dominant
     frequency f0: W(f) = (2/sqrt(pi)) (f^2/f0^3) exp(-(f/f0)^2)."""
-    if f0 <= 0:
+    if not f0 > 0:  # NaN too
         raise ParameterError(f"dominant frequency must be positive, got {f0}")
-    if f < 0:
+    if not f >= 0:
         raise ParameterError(f"frequency must be nonnegative, got {f}")
     return (2.0 / math.sqrt(math.pi)) * (f**2 / f0**3) * math.exp(-((f / f0) ** 2))
 
@@ -133,19 +139,18 @@ class FrequencyDataset:
 
 def synthesize_data(m_true, geometry, frequencies, pml, scheme, f0=5.0):
     """Model observed data in m_true: d = P A(m_true)^{-1} (W(f) b) per
-    (frequency, source).  Deterministic; noise is added separately."""
+    (frequency, source).  An unresolved PML takes its reference velocity
+    from m_true (``resolve_pml``).  Deterministic; noise is added separately."""
     grid = m_true.grid
     geometry.validate(grid)
-    v_ref = float(1.0 / np.sqrt(np.min(m_true.values)))
+    pml = resolve_pml(pml, grid, None, slowness_sq_to_velocity(m_true))
+    P = build_observation(pad_topology(grid, pml), geometry.receivers)
     data, scales = [], []
     for f in frequencies:
-        omega = 2.0 * math.pi * f
-        kernel = build_kernel(grid, omega, pml, scheme, v_ref=v_ref)
-        P = build_observation(kernel.topology, geometry.receivers)
+        kernel = build_kernel(grid, 2.0 * math.pi * f, pml, scheme)
         amplitude = ricker_spectrum(f, f0)
-        b = np.column_stack([build_source(kernel.topology, s, amplitude) for s in geometry.sources])
-        u = forward_solve(kernel.assemble(m_true.values), b)
-        data.append(P @ u)
+        b = source_matrix(kernel.topology, geometry.sources, amplitude)
+        data.append(P @ forward_solve(kernel.assemble(m_true.values), b))
         scales.append(amplitude)
     return FrequencyDataset(
         frequencies=tuple(float(f) for f in frequencies),
@@ -167,7 +172,7 @@ def add_noise(dataset, snr_db, seed):
     """
     if not dataset.data:
         raise ShapeError("cannot add noise to an empty dataset")
-    if math.isinf(snr_db):
+    if snr_db == math.inf:
         # no-noise sentinel: data untouched, seed marker stays unset
         return dataset.subset(range(dataset.n_frequencies))
     if not math.isfinite(snr_db):

@@ -19,12 +19,11 @@ import numpy as np
 
 from . import __version__
 from .acquisition import add_noise, build_observation, synthesize_data
-from .engine import resolve_pml
-from .errors import ConfigError, FactorizationError, FormatError, IwriError, SolverError
+from .errors import ConfigError, FactorizationError, IwriError, SolverError
 from .fileio import (_CONFIG_KEYS, RunConfig, load_config, read_dataset, read_model_file,
                      write_convergence_csv, write_dataset, write_model_file, write_raster)
 from .grid import velocity_to_slowness_sq
-from .helmholtz import build_kernel
+from .helmholtz import build_kernel, resolve_pml
 from .refinement import DenseProblem, accumulated_rhs_solve, iterative_refine, pseudo_inverse_solve
 from .workflow import estimate_mu1, run_batch, run_inversion
 
@@ -241,13 +240,10 @@ def cli_dispatch(argv):
         return _COMMANDS[args.command](args)
     except SystemExit as exc:  # --help / --version
         return 0 if not exc.code else 1
-    except (ConfigError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (SolverError, FactorizationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except IwriError as exc:
+    except (IwriError, OSError) as exc:  # configuration, input and output errors
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -27,8 +27,8 @@ import scipy.sparse as sp
 
 from .errors import ParameterError, ShapeError, SolverError
 from .grid import velocity_to_slowness_sq
-from .helmholtz import build_kernel, forward_solve
-from .acquisition import build_observation, build_source
+from .helmholtz import build_kernel, forward_solve, resolve_pml
+from .acquisition import build_observation, source_matrix
 from .linalg import BandLayout, FactorizationError, assemble_normal_matrix, factorize
 from .util import axis_minor_ordering, stacked_norm
 
@@ -112,21 +112,6 @@ class CycleStats:
     model_warning: bool = False
 
 
-def resolve_pml(pml, grid, bounds, m_true):
-    """Fix an unresolved PML config with the reference velocity of the
-    inversion: the upper velocity bound, else the true model's maximum."""
-    if pml.max_damping is not None:
-        return pml
-    if bounds is not None:
-        v_ref = bounds.v_max
-    elif m_true is not None:
-        v_ref = float(np.max(m_true.values))
-    else:
-        raise ParameterError("unresolved PML config needs bounds or a true model "
-                             "to fix the damping rule")
-    return pml.resolved(grid, v_ref)
-
-
 class ModelNormalPlan:
     """Fixed-pattern fill of the model normal matrix
     N = Re sum_{k,s} R^T L_k(u_s)^H L_k(u_s) R, with R the padding map.
@@ -195,12 +180,8 @@ class InversionProblem:
         topo = self.kernels[0].topology
         self.topology = topo
         self.P = build_observation(topo, self.geometry.receivers)
-        self.PhP = self.P.conjugate().T @ self.P
-        self.sources = []
-        for i, _f in enumerate(dataset.frequencies):
-            amp = dataset.source_scale[i]
-            self.sources.append(np.column_stack(
-                [build_source(topo, s, amp) for s in self.geometry.sources]))
+        self.sources = [source_matrix(topo, self.geometry.sources, amp)
+                        for amp in dataset.source_scale]
 
         self.bounds = bounds
         if bounds is not None:
@@ -350,8 +331,7 @@ def _wavefield_phase(problem, state, params, i):
     d, b = problem.observed[i], problem.sources[i]
     duals = state.duals
     try:
-        fact = factorize(assemble_normal_matrix(A, problem.P, lam, gram=problem.PhP),
-                         ordering=problem.pad_ordering)
+        fact = factorize(assemble_normal_matrix(A, problem.P, lam), ordering=problem.pad_ordering)
     except FactorizationError as exc:
         raise SolverError(f"wavefield normal-matrix factorization failed: {exc}",
                           frequency=problem.frequencies[i], iteration=state.k) from exc

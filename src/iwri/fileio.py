@@ -101,11 +101,19 @@ def write_dataset(dataset, path):
             fh.write(np.ascontiguousarray(block.T, dtype="<c16").tobytes())
 
 
+def _real(text, allowed=()):
+    """float(text); NaN and infinities raise unless listed in ``allowed``."""
+    value = float(text)
+    if not (math.isfinite(value) or value in allowed):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_points(text):
     pts = []
     for item in text.split(";"):
         x, z = item.split(",")
-        pts.append((float(x), float(z)))
+        pts.append((_real(x), _real(z)))
     return tuple(pts)
 
 
@@ -219,7 +227,7 @@ def write_raster(field, path, scaling="minmax"):
 
 
 def _floats(text):
-    values = tuple(float(v) for v in text.split())
+    values = tuple(_real(v) for v in text.split())
     if not values:
         raise ValueError("needs at least one value")
     return values
@@ -227,12 +235,13 @@ def _floats(text):
 
 def _receiver_line(text):
     x, z0, z1, count = text.split()
-    return tuple((float(x), z) for z in np.linspace(float(z0), float(z1), int(count)))
+    return tuple((_real(x), z) for z in np.linspace(_real(z0), _real(z1), int(count)))
 
 
-def _float_or(word, value):
-    """Parser of a float, or of ``word`` (any case) standing for ``value``."""
-    return lambda text: value if text.lower() == word else float(text)
+def _float_or(word, value, allowed=()):
+    """Parser of a finite float (or one in ``allowed``), or of ``word`` (any
+    case) standing for ``value``."""
+    return lambda text: value if text.lower() == word else _real(text, allowed)
 
 
 def _choice(*options):
@@ -261,22 +270,22 @@ _CONFIG_KEYS = {
     "frequencies": (None, _floats),
     "batches": (None, lambda text: tuple(_floats(part) for part in text.split("|"))),
     "paths": ("0", lambda text: tuple(int(v) for v in text.split())),
-    "f0": ("5.0", float),
+    "f0": ("5.0", _real),
     "variant": ("prsm", lambda text: Variant(text.lower())),
-    "lambda_fraction": ("1e-4", float),
-    "alpha": ("0.5", float),
+    "lambda_fraction": ("1e-4", _real),
+    "alpha": ("0.5", _real),
     "inner_n": ("1", int),
-    "v_min": (None, float),
-    "v_max": (None, float),
+    "v_min": (None, _real),
+    "v_max": (None, _real),
     "bounds_mode": ("bregman", _choice("bregman", "clip")),
     "pml_layers": ("10", int),
-    "pml_exponent": ("2.0", float),
+    "pml_exponent": ("2.0", _real),
     "pml_damping": ("auto", _float_or("auto", None)),
     "pml_free_top": ("false", _boolean),
     "k_max": ("100", int),
-    "delta": ("1e-3", float),
+    "delta": ("1e-3", _real),
     "eps_n": ("auto", _float_or("auto", None)),
-    "snr_db": ("inf", _float_or("none", math.inf)),  # float() reads "inf" itself
+    "snr_db": ("inf", _float_or("none", math.inf, allowed=(math.inf,))),  # inf: noiseless
     "noise_seed": ("0", int),
 }
 

@@ -83,6 +83,21 @@ class PmlConfig:
         return replace(self, max_damping=sigma)
 
 
+def resolve_pml(pml, grid, bounds, m_true):
+    """Fix an unresolved PML config with the reference velocity of a run:
+    the upper velocity bound, else the maximum of the true velocity model."""
+    if pml.max_damping is not None:
+        return pml
+    if bounds is not None:
+        v_ref = bounds.v_max
+    elif m_true is not None:
+        v_ref = float(np.max(m_true.values))
+    else:
+        raise ParameterError("unresolved PML config needs bounds or a true model "
+                             "to fix the damping rule")
+    return pml.resolved(grid, v_ref)
+
+
 @dataclass(frozen=True)
 class StencilScheme:
     """Blend weight of the axis-aligned Laplacian plus mass-spreading
@@ -311,13 +326,8 @@ class HelmholtzKernel:
         return (self.laplacian + self.scaled_mass(self.pad_model(m_values))).tocsr()
 
 
-def build_kernel(grid, omega, pml, scheme, v_ref=None):
-    """Construct the frequency-specific kernel; unresolved PML configs need
-    a reference velocity for the damping rule."""
-    if pml.max_damping is None:
-        if v_ref is None:
-            raise ParameterError("unresolved PML config requires a reference velocity")
-        pml = pml.resolved(grid, v_ref)
+def build_kernel(grid, omega, pml, scheme):
+    """Construct the frequency-specific kernel for a resolved PML config."""
     return HelmholtzKernel(grid, omega, pml, scheme)
 
 

@@ -26,21 +26,18 @@ from .errors import FactorizationError, ParameterError, ShapeError
 _MAX_BAND_BYTES = 512 * 2**20
 
 
-def assemble_normal_matrix(A, P, lam, *, gram=None):
+def assemble_normal_matrix(A, P, lam):
     """H = P^H P + lam * A^H A, Hermitian positive definite for lam > 0
-    and invertible A.  ``gram`` is P^H P when the caller holds it.  H keeps
-    the format and index order the sparse product gives it."""
+    and invertible A.  H keeps the format and index order the sparse
+    product gives it."""
     if A.shape[0] != A.shape[1]:
         raise ShapeError(f"A must be square, got {A.shape}")
     if P.shape[1] != A.shape[0]:
         raise ShapeError(f"P has {P.shape[1]} columns, A is {A.shape[0]}x{A.shape[0]}")
     if not lam > 0:
         raise ParameterError(f"penalty weight must be positive, got {lam}")
-    A = sp.csr_matrix(A)
-    if gram is None:
-        P = sp.csr_matrix(P)
-        gram = P.conjugate().T @ P
-    return gram + lam * (A.conjugate().T @ A)
+    A, P = sp.csr_matrix(A), sp.csr_matrix(P)
+    return P.conjugate().T @ P + lam * (A.conjugate().T @ A)
 
 
 class BandLayout:

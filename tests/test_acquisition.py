@@ -79,10 +79,9 @@ def test_ricker_spectrum_values():
     # closed-form ratio W(f0)/W(2 f0) = e^3 / 4
     ratio = ricker_spectrum(5.0, 5.0) / ricker_spectrum(10.0, 5.0)
     assert abs(ratio - math.exp(3.0) / 4.0) < 1e-6 * ratio
-    with pytest.raises(ParameterError):
-        ricker_spectrum(1.0, 0.0)
-    with pytest.raises(ParameterError):
-        ricker_spectrum(-1.0, 5.0)
+    for f, f0 in ((1.0, 0.0), (-1.0, 5.0), (1.0, math.nan), (math.nan, 5.0)):
+        with pytest.raises(ParameterError):
+            ricker_spectrum(f, f0)
 
 
 def test_synthesize_data_linearity_and_determinism():
@@ -158,8 +157,9 @@ def test_add_noise_infinite_snr_sentinel():
     out = add_noise(clean, math.inf, seed=1)
     assert np.array_equal(out.data[0], clean.data[0])
     assert out.noise_level.tolist() == [1e-5]
-    with pytest.raises(ParameterError):
-        add_noise(clean, math.nan, seed=1)
+    for snr_db in (math.nan, -math.inf):
+        with pytest.raises(ParameterError):
+            add_noise(clean, snr_db, seed=1)
 
 
 def test_dataset_subset():

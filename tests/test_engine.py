@@ -334,8 +334,7 @@ def test_shared_layouts_factor_bit_equal_to_fresh(rng):
                                bounds=setup.bounds)
     m = velocity_to_slowness_sq(setup.true_model).values
     n_pad, n = problem.n_pad, problem.grid.n
-    systems = [(problem.pad_ordering, assemble_normal_matrix(k.assemble(m), problem.P, 0.3,
-                                                             gram=problem.PhP))
+    systems = [(problem.pad_ordering, assemble_normal_matrix(k.assemble(m), problem.P, 0.3))
                for k in problem.kernels]
     for _ in range(2):  # model systems of two wavefield sets: one pattern, other values
         normal = problem.model_normal.matrix(problem.kernels, rng.standard_normal((3, n_pad, 1))

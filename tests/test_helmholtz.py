@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from iwri.errors import ParameterError, ShapeError
-from iwri.grid import Grid2D, VelocityModel, build_homogeneous, velocity_to_slowness_sq
+from iwri.grid import Bounds, Grid2D, VelocityModel, build_homogeneous, velocity_to_slowness_sq
 from iwri.helmholtz import (PmlConfig, StencilScheme, analytic_green_2d, build_kernel,
-                            forward_solve, pad_topology)
+                            forward_solve, pad_topology, resolve_pml)
 from iwri.acquisition import build_source
 from tests_helpers_toy import toy_helmholtz_system
 
@@ -21,6 +21,21 @@ def test_pml_config_validation():
     assert np.isclose(resolved.max_damping, expected)
     explicit = PmlConfig(max_damping=123.0).resolved(grid, 2000.0)
     assert explicit.max_damping == 123.0
+
+
+def test_resolve_pml_reference_velocity():
+    grid = Grid2D(4, 3, 10.0, 10.0)
+    v_true = VelocityModel(grid, np.linspace(1700.0, 1950.0, grid.n))
+    pml = PmlConfig(n_layers=2)
+    # the upper bound, else the true model's maximum; a given damping is kept
+    assert resolve_pml(pml, grid, Bounds(1600.0, 2100.0), v_true) == pml.resolved(grid, 2100.0)
+    assert resolve_pml(pml, grid, None, v_true) == pml.resolved(grid, 1950.0)
+    fixed = PmlConfig(n_layers=2, max_damping=5.0)
+    assert resolve_pml(fixed, grid, None, None) is fixed
+    with pytest.raises(ParameterError):
+        resolve_pml(pml, grid, None, None)
+    with pytest.raises(ParameterError):  # kernels take resolved configs only
+        build_kernel(grid, 1.0, pml, StencilScheme())
 
 
 def test_scheme_validation():

@@ -234,7 +234,11 @@ def test_config_receiver_line(tmp_path):
 
 _MALFORMED = [("snr_db", "abc"), ("paths", "x"), ("batches", "2.5 | five"),
               ("pml_damping", "strong"), ("eps_n", "tiny"), ("pml_free_top", "maybe"),
-              ("bounds_mode", "sideways")]
+              ("bounds_mode", "sideways"),
+              # NaN is never a valid number, and only snr_db may be infinite
+              ("f0", "nan"), ("pml_damping", "nan"), ("pml_exponent", "nan"),
+              ("delta", "nan"), ("eps_n", "nan"), ("snr_db", "nan"), ("snr_db", "-inf"),
+              ("v_max", "inf"), ("frequencies", "5 nan"), ("sources", "15,nan")]
 
 
 @pytest.mark.parametrize("key,value", _MALFORMED)
@@ -255,6 +259,11 @@ def test_cli_malformed_value_exits_before_any_work(tmp_path, capsys):
     assert err.startswith("error: config key 'pml_free_top'")
     assert "Traceback" not in err
     assert not (tmp_path / "inv").exists()
+    # a non-finite number is malformed too: no all-NaN dataset is written
+    cfg = write_config(tmp_path, extra="f0 = nan\n")
+    assert cli_dispatch(["forward", "--config", str(cfg), "--out", str(tmp_path / "fwd")]) == 1
+    assert capsys.readouterr().err.startswith("error: config key 'f0'")
+    assert not (tmp_path / "fwd").exists()
     # the invert flags go through the same parsers
     cfg = write_config(tmp_path, data_line="data = out/dataset.iwd\n")
     assert cli_dispatch(["invert", "--config", str(cfg), "--out", str(tmp_path / "inv"),
@@ -275,6 +284,19 @@ def test_cli_missing_input_leaves_no_output_directory(tmp_path):
         out = tmp_path / "o"
         assert cli_dispatch([*argv, "--config", str(cfg), "--out", str(out)]) == 1
         assert not out.exists(), argv
+
+
+def test_cli_uncreatable_output_directory_is_an_error(tmp_path, capsys):
+    seed_models(tmp_path)
+    cfg = write_config(tmp_path, data_line="data = out/dataset.iwd\n")
+    assert cli_dispatch(["forward", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    (tmp_path / "afile").write_text("")
+    capsys.readouterr()
+    for argv in (["forward"], ["invert"], ["scan-lambda", "--fractions", "1e-4"]):
+        out = tmp_path / "afile" / "sub"  # below a regular file
+        assert cli_dispatch([*argv, "--config", str(cfg), "--out", str(out)]) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, argv
 
 
 def test_config_missing_file_rejected(tmp_path):
