@@ -104,6 +104,8 @@ class FrequencyDataset:
 
     def __post_init__(self):
         freqs = tuple(float(f) for f in self.frequencies)
+        if not all(0 < f < math.inf for f in freqs):
+            raise ParameterError(f"frequencies must be finite and positive, got {freqs}")
         if any(b <= a for a, b in zip(freqs, freqs[1:])):
             raise ParameterError(f"frequencies must be strictly increasing, got {freqs}")
         self.frequencies = freqs
@@ -117,8 +119,13 @@ class FrequencyDataset:
         self.noise_level = np.asarray(self.noise_level, dtype=float)
         if self.noise_level.shape != (len(freqs),):
             raise ShapeError("need one noise level per frequency")
+        if not np.all((self.noise_level >= 0) & (self.noise_level < math.inf)):
+            raise ParameterError(f"noise levels must be finite and nonnegative, "
+                                 f"got {self.noise_level.tolist()}")
         if not self.source_scale:
             self.source_scale = tuple(1.0 for _ in freqs)
+        if not all(math.isfinite(s) for s in self.source_scale):
+            raise ParameterError(f"source scales must be finite, got {self.source_scale}")
 
     @property
     def n_frequencies(self):

@@ -122,15 +122,14 @@ class ModelNormalPlan:
     B^T B lies on a few diagonals: per diagonal offset o, the source-summed
     products Re(conj(w_i) w_{i+o}) come from two shifted slices of w.  The
     pattern of N and the position in it of every B^T B entry are computed
-    once, from one kernel: B is shared by all kernels on the same grid, PML
-    layers and scheme.  Each fill is one bincount per frequency."""
+    once, from the kernel's B (``kernel.stencil``, held exactly): every
+    kernel on the same grid, PML layers and scheme holds the same B, so the
+    plan built from any of them is the same.  Each fill is one bincount per
+    frequency."""
 
     def __init__(self, kernel):
-        S = kernel.mass_basis
         n = kernel.grid.n
-        B = sp.csr_matrix(((S.data / kernel.damping[S.indices]).real, S.indices, S.indptr),
-                          shape=S.shape)
-        G = (B.T @ B).tocoo()
+        G = (kernel.stencil.T @ kernel.stencil).tocoo()
         n_pad = G.shape[0]
         phys = kernel.topology.phys_of_pad
         keys, pos = np.unique(phys[G.row] * n + phys[G.col], return_inverse=True)
@@ -165,6 +164,8 @@ class InversionProblem:
 
     def __init__(self, grid, pml, scheme, dataset, *, bounds=None, m_true=None,
                  bounds_mode="bregman"):
+        if bounds_mode not in ("bregman", "clip"):
+            raise ParameterError(f"unknown bound mode {bounds_mode!r}")
         self.grid = grid
         self.scheme = scheme
         self.bounds_mode = bounds_mode
@@ -262,9 +263,10 @@ def wri_objective(A, P, u, d_eff, b_eff, lam):
 
 def _mass_rmatvec(kernel, u, r):
     """Re(L(u)^H r) restricted to the physical cells, summed over source
-    columns: bincount(phys_of_pad, Re(omega^2 conj(u) S^H r))."""
-    sh_r = np.conj(kernel.mass_basis.T @ np.conj(r))
-    g_pad = np.sum(np.real(kernel.omega**2 * np.conj(u) * sh_r), axis=1)
+    columns.  With S = B diag(c) and w = c u, as in ``ModelNormalPlan``:
+    bincount(phys_of_pad, Re(omega^2 conj(w) B^T r))."""
+    w = kernel.damping[:, None] * u
+    g_pad = np.sum(np.real(kernel.omega**2 * np.conj(w) * (kernel.stencil.T @ r)), axis=1)
     return np.bincount(kernel.topology.phys_of_pad, weights=g_pad,
                        minlength=kernel.grid.n)
 

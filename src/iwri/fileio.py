@@ -13,7 +13,7 @@ import numpy as np
 
 from .acquisition import AcquisitionGeometry, FrequencyDataset
 from .engine import Variant
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, ParameterError
 from .grid import Bounds, Grid2D, VelocityModel
 from .helmholtz import PmlConfig, StencilScheme
 from .workflow import (ContinuationPlan, ConvergenceRecord, InversionSettings,
@@ -128,9 +128,9 @@ def read_dataset(path):
         fields[key] = rest
     try:
         nfreq, nsrc, nrec = int(fields["nfreq"]), int(fields["nsrc"]), int(fields["nrec"])
-        freqs = tuple(float(v) for v in fields["freq"].split())
-        scales = tuple(float(v) for v in fields["scale"].split())
-        eps = np.array([float(v) for v in fields["eps"].split()])
+        freqs = tuple(_real(v) for v in fields["freq"].split())
+        scales = tuple(_real(v) for v in fields["scale"].split())
+        eps = np.array([_real(v) for v in fields["eps"].split()])
         seed = None if fields["seed"] == "-" else int(fields["seed"])
         geometry = AcquisitionGeometry(sources=_parse_points(fields["src"]),
                                        receivers=_parse_points(fields["rec"]))
@@ -149,8 +149,11 @@ def read_dataset(path):
                           offset=offset + int(bad[0]) * 16)
     blocks = [raw[i * nsrc * nrec:(i + 1) * nsrc * nrec].reshape(nsrc, nrec).T.copy()
               for i in range(nfreq)]
-    return FrequencyDataset(frequencies=freqs, geometry=geometry, data=blocks,
-                            noise_level=eps, source_scale=scales, seed=seed)
+    try:
+        return FrequencyDataset(frequencies=freqs, geometry=geometry, data=blocks,
+                                noise_level=eps, source_scale=scales, seed=seed)
+    except ParameterError as exc:
+        raise FormatError(f"{path}: {exc}", offset=0) from exc
 
 
 # -- convergence CSV ----------------------------------------------------------

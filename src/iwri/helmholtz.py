@@ -176,17 +176,51 @@ def _axis_damping(n_cells, spacing, n_layers, lo_on, hi_on, sigma_max, exponent)
     return profile(centers), profile(faces)
 
 
+def _offset_matrix(grid_pad, table):
+    """Sparse matrix on the padded grid from ``((dz, dx), coefficient)``
+    pairs: row (iz, ix) holds the coefficient (a scalar, or an (nz, nx)
+    array read at the row) in column (iz + dz, ix + dx).  Neighbours in the
+    Dirichlet ring outside the grid and exact zeros are dropped; repeated
+    offsets add up."""
+    nzp, nxp = grid_pad.nz, grid_pad.nx
+    idx = np.arange(nzp * nxp).reshape(nzp, nxp)
+    rows, cols, vals = [], [], []
+    for (dz, dx), coef in table:
+        at_row = np.s_[max(0, -dz):nzp - max(0, dz), max(0, -dx):nxp - max(0, dx)]
+        at_col = np.s_[max(0, dz):nzp - max(0, -dz), max(0, dx):nxp - max(0, -dx)]
+        v = np.broadcast_to(coef, idx.shape)[at_row]
+        keep = v != 0
+        rows.append(idx[at_row][keep])
+        cols.append(idx[at_col][keep])
+        vals.append(v[keep])
+    n = nzp * nxp
+    mat = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                        shape=(n, n))
+    mat.sum_duplicates()
+    return mat
+
+
+def _undamped_patch(sigma):
+    """Cells of one axis whose three-cell neighbourhood is undamped, never
+    the first or last cell."""
+    ok = np.zeros(sigma.shape, dtype=bool)
+    ok[1:-1] = (sigma[:-2] == 0.0) & (sigma[1:-1] == 0.0) & (sigma[2:] == 0.0)
+    return ok
+
+
 class HelmholtzKernel:
     """Frequency-specific operator pieces on the padded grid.
 
-    Holds the stretched Laplacian, the damped mass-spreading matrix S and
-    the physical/padded index maps; assembling A(m) for a new model is a
-    cheap column scaling plus a sparse add.
+    Holds the stretched Laplacian, the real mass-spreading stencil B
+    (``stencil``), the PML damping c (``damping``), the mass matrix
+    S = B diag(c) (``mass_basis``) formed from them, and the
+    physical/padded index maps; assembling A(m) for a new model is a cheap
+    column scaling plus a sparse add.
     """
 
     def __init__(self, grid, omega, pml, scheme):
-        if omega <= 0:
-            raise ParameterError(f"angular frequency must be positive, got {omega}")
+        if not 0 < omega < math.inf:
+            raise ParameterError(f"angular frequency must be finite and positive, got {omega}")
         if pml.max_damping is None:
             raise ParameterError("PML config must be resolved (max_damping set) to build a kernel")
         self.grid = grid
@@ -196,109 +230,38 @@ class HelmholtzKernel:
         self.topology = pad_topology(grid, pml)
 
         gp = self.topology.grid_pad
-        nxp, nzp = gp.nx, gp.nz
-        sx_c, sx_f = _axis_damping(nxp, grid.dx, pml.n_layers, "left" in pml.sides,
-                                   "right" in pml.sides, pml.max_damping, pml.profile_exponent)
-        sz_c, sz_f = _axis_damping(nzp, grid.dz, pml.n_layers, "top" in pml.sides,
-                                   "bottom" in pml.sides, pml.max_damping, pml.profile_exponent)
-        stretch_x_c = 1.0 + 1j * sx_c / omega
-        stretch_x_f = 1.0 + 1j * sx_f / omega
-        stretch_z_c = 1.0 + 1j * sz_c / omega
-        stretch_z_f = 1.0 + 1j * sz_f / omega
+        sigx_c, sigx_f = _axis_damping(gp.nx, grid.dx, pml.n_layers, "left" in pml.sides,
+                                       "right" in pml.sides, pml.max_damping, pml.profile_exponent)
+        sigz_c, sigz_f = _axis_damping(gp.nz, grid.dz, pml.n_layers, "top" in pml.sides,
+                                       "bottom" in pml.sides, pml.max_damping, pml.profile_exponent)
+        sx_c, sx_f, sz_c, sz_f = (1.0 + 1j * sig / omega for sig in (sigx_c, sigx_f, sigz_c, sigz_f))
 
-        self.damping = (stretch_x_c[np.newaxis, :] * stretch_z_c[:, np.newaxis]).ravel()
-        self.laplacian = self._build_laplacian(stretch_x_c, stretch_x_f, stretch_z_c, stretch_z_f,
-                                               sx_c, sz_c)
-        self.mass_basis = self._build_mass_basis()
+        self.damping = (sx_c[np.newaxis, :] * sz_c[:, np.newaxis]).ravel()
 
-    # -- construction -----------------------------------------------------
-
-    def _build_laplacian(self, sx_c, sx_f, sz_c, sz_f, sigx_c, sigz_c):
-        gp = self.topology.grid_pad
-        nxp, nzp = gp.nx, gp.nz
+        # 5-point part with the face factors; on cells whose 3x3 patch is
+        # undamped it is blended with the 45-degree rotated Laplacian
+        mix = scheme.laplacian_mix if gp.dx == gp.dz else 1.0
+        mixed = _undamped_patch(sigz_c)[:, None] & _undamped_patch(sigx_c)[None, :] & (mix < 1.0)
+        weight = np.where(mixed, mix, 1.0)
+        a_xp = sz_c[:, None] / sx_f[None, 1:] * weight
+        a_xm = sz_c[:, None] / sx_f[None, :-1] * weight
+        a_zp = sx_c[None, :] / sz_f[1:, None] * weight
+        a_zm = sx_c[None, :] / sz_f[:-1, None] * weight
         dx2, dz2 = gp.dx**2, gp.dz**2
-        mix = self.scheme.laplacian_mix if gp.dx == gp.dz else 1.0
+        rot = np.where(mixed, (1.0 - mix) / (2.0 * dx2), 0.0)
+        self.laplacian = _offset_matrix(gp, [
+            ((0, 0), -(a_xp + a_xm) / dx2 - (a_zp + a_zm) / dz2), ((0, 0), -4.0 * rot),
+            ((0, 1), a_xp / dx2), ((0, -1), a_xm / dx2), ((1, 0), a_zp / dz2), ((-1, 0), a_zm / dz2),
+        ] + [((dz, dx), rot) for dz in (-1, 1) for dx in (-1, 1)])
 
-        a_xp = (sz_c[:, None] / sx_f[None, 1:]) * np.ones((nzp, nxp))
-        a_xm = (sz_c[:, None] / sx_f[None, :-1]) * np.ones((nzp, nxp))
-        a_zp = (sx_c[None, :] / sz_f[1:, None]) * np.ones((nzp, nxp))
-        a_zm = (sx_c[None, :] / sz_f[:-1, None]) * np.ones((nzp, nxp))
-
-        if mix < 1.0:
-            col_ok = sigx_c == 0.0
-            row_ok = sigz_c == 0.0
-            patch_col = col_ok.copy()
-            patch_col[1:-1] &= col_ok[:-2] & col_ok[2:]
-            patch_col[[0, -1]] = False
-            patch_row = row_ok.copy()
-            patch_row[1:-1] &= row_ok[:-2] & row_ok[2:]
-            patch_row[[0, -1]] = False
-            mixed = patch_row[:, None] & patch_col[None, :]
-            weight = np.where(mixed, mix, 1.0)
-        else:
-            mixed = np.zeros((nzp, nxp), dtype=bool)
-            weight = np.ones((nzp, nxp))
-
-        for a in (a_xp, a_xm, a_zp, a_zm):
-            a *= weight
-
-        idx = np.arange(nzp * nxp).reshape(nzp, nxp)
-        rows, cols, vals = [], [], []
-
-        def add(r, c, v):
-            rows.append(r.ravel())
-            cols.append(c.ravel())
-            vals.append(v.ravel())
-
-        diag = -(a_xp + a_xm) / dx2 - (a_zp + a_zm) / dz2
-        add(idx, idx, diag.astype(complex))
-        add(idx[:, :-1], idx[:, 1:], (a_xp[:, :-1] / dx2).astype(complex))
-        add(idx[:, 1:], idx[:, :-1], (a_xm[:, 1:] / dx2).astype(complex))
-        add(idx[:-1, :], idx[1:, :], (a_zp[:-1, :] / dz2).astype(complex))
-        add(idx[1:, :], idx[:-1, :], (a_zm[1:, :] / dz2).astype(complex))
-
-        if mixed.any():
-            rot = (1.0 - mix) / (2.0 * dx2)
-            r = idx[mixed]
-            zz, xx = np.nonzero(mixed)
-            add(r, r, np.full(r.size, -4.0 * rot, dtype=complex))
-            for dz_ in (-1, 1):
-                for dx_ in (-1, 1):
-                    add(r, idx[zz + dz_, xx + dx_], np.full(r.size, rot, dtype=complex))
-
-        n = nzp * nxp
-        lap = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                            shape=(n, n))
-        lap.sum_duplicates()
-        return lap
-
-    def _build_mass_basis(self):
-        gp = self.topology.grid_pad
-        nxp, nzp = gp.nx, gp.nz
-        s = self.scheme
-        weights = {(0, 0): s.mass_center}
-        for off in ((0, 1), (0, -1), (1, 0), (-1, 0)):
-            weights[off] = s.mass_edge
-        for off in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            weights[off] = s.mass_corner
-
-        idx = np.arange(nzp * nxp).reshape(nzp, nxp)
-        rows, cols, vals = [], [], []
-        for (dz_, dx_), w in weights.items():
-            if w == 0.0:
-                continue
-            r = idx[max(0, -dz_):nzp - max(0, dz_), max(0, -dx_):nxp - max(0, dx_)]
-            c = idx[max(0, dz_):nzp - max(0, -dz_), max(0, dx_):nxp - max(0, -dx_)]
-            rows.append(r.ravel())
-            cols.append(c.ravel())
-            vals.append(np.full(r.size, w))
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        vals = np.concatenate(vals).astype(complex) * self.damping[cols]
-        n = nzp * nxp
-        S = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-        S.sum_duplicates()
-        return S
+        self.stencil = _offset_matrix(gp, [((0, 0), scheme.mass_center)]
+                                      + [(off, scheme.mass_edge)
+                                         for off in ((0, 1), (0, -1), (1, 0), (-1, 0))]
+                                      + [((dz, dx), scheme.mass_corner)
+                                         for dz in (-1, 1) for dx in (-1, 1)])
+        B = self.stencil
+        self.mass_basis = sp.csr_matrix((B.data * self.damping[B.indices], B.indices, B.indptr),
+                                        shape=B.shape)
 
     # -- operations --------------------------------------------------------
 

@@ -137,6 +137,7 @@ class BatchInfo:
     initial_pde_misfit: float
     stop_reason: StopReason
     iterations: int
+    model_warnings: int  # cycles whose model solve needed the singular-system shift
 
 
 def run_batch(model_in, dataset, settings, criteria, *, m_true=None,
@@ -170,9 +171,11 @@ def run_batch(model_in, dataset, settings, criteria, *, m_true=None,
     state = init_state(problem, model_in.values)
     record = ConvergenceRecord()
     initial_pde = None
+    model_warnings = 0
     reason = StopReason.CONTINUE
     while reason is StopReason.CONTINUE:
         stats = inner_refine(problem, state, params)
+        model_warnings += stats.model_warning
         if stats.initial_pde_misfit is not None:
             initial_pde = stats.initial_pde_misfit
         record.append(state.k, stats.data_misfit, stats.pde_misfit,
@@ -183,7 +186,8 @@ def run_batch(model_in, dataset, settings, criteria, *, m_true=None,
                 and stats.pde_misfit <= pde_stop_fraction * initial_pde):
             reason = StopReason.THRESHOLD
 
-    info = BatchInfo(mu1=mu1, lambdas=lambdas, initial_pde_misfit=initial_pde, stop_reason=reason, iterations=state.k)
+    info = BatchInfo(mu1=mu1, lambdas=lambdas, initial_pde_misfit=initial_pde,
+                     stop_reason=reason, iterations=state.k, model_warnings=model_warnings)
     return SlownessSqModel(grid, state.m_values.copy()), record, info
 
 
@@ -244,6 +248,7 @@ def run_inversion(model0, plan, dataset, settings, criteria, *, m_true=None):
                 "iterations": br.info.iterations,
                 "stop_reason": br.info.stop_reason.value,
                 "initial_pde_misfit": br.info.initial_pde_misfit,
+                "model_warnings": br.info.model_warnings,
             }
             for br in batches_out
         ],

@@ -6,8 +6,9 @@ import pytest
 from iwri.errors import GeometryError, ParameterError
 from iwri.grid import Grid2D, build_homogeneous, velocity_to_slowness_sq
 from iwri.helmholtz import PmlConfig, StencilScheme, analytic_green_2d, build_kernel
-from iwri.acquisition import (AcquisitionGeometry, add_noise, build_observation,
-                              build_source, ricker_spectrum, synthesize_data)
+from iwri.acquisition import (AcquisitionGeometry, FrequencyDataset, add_noise,
+                              build_observation, build_source, ricker_spectrum,
+                              synthesize_data)
 
 
 def make_topology(grid, n_layers=3):
@@ -171,3 +172,17 @@ def test_dataset_subset():
     assert sub.frequencies == (4.0, 8.0)
     assert np.array_equal(sub.data[1], ds.data[2])
     assert sub.source_scale == (ds.source_scale[0], ds.source_scale[2])
+
+
+def test_dataset_rejects_out_of_range_values():
+    geo = AcquisitionGeometry(sources=((15.0, 45.0),), receivers=((85.0, 45.0),))
+    valid = dict(frequencies=(5.0,), geometry=geo, data=[np.zeros((1, 1))], noise_level=[1e-5],
+                 source_scale=(1.0,))
+    FrequencyDataset(**valid)
+    for key, value in [("frequencies", (math.nan,)), ("frequencies", (0.0,)),
+                       ("frequencies", (-1.0,)), ("frequencies", (math.inf,)),
+                       ("source_scale", (math.nan,)), ("source_scale", (math.inf,)),
+                       ("noise_level", [math.nan]), ("noise_level", [-1.0]),
+                       ("noise_level", [math.inf])]:
+        with pytest.raises(ParameterError):
+            FrequencyDataset(**{**valid, key: value})

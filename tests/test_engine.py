@@ -5,9 +5,10 @@ from iwri.errors import ParameterError, ShapeError, SolverError
 from iwri.grid import Bounds, Grid2D, VelocityModel, velocity_to_slowness_sq
 from iwri.helmholtz import PmlConfig, StencilScheme
 from iwri.acquisition import AcquisitionGeometry, FrequencyDataset, add_noise, synthesize_data
-from iwri.engine import (BoxConstraintState, InversionProblem, PenaltyParams, Variant,
-                         estimate_model, init_state, inner_refine, reconstruct_wavefield,
-                         update_data_dual, update_source_dual, wri_gradient_m, wri_objective)
+from iwri.engine import (BoxConstraintState, InversionProblem, ModelNormalPlan, PenaltyParams,
+                         Variant, estimate_model, init_state, inner_refine,
+                         reconstruct_wavefield, update_data_dual, update_source_dual,
+                         wri_gradient_m, wri_objective)
 import iwri.engine as engine
 import iwri.linalg as la
 from iwri.linalg import assemble_normal_matrix, factorize
@@ -377,6 +378,30 @@ def test_model_normal_plan_matches_product_loop(rng):
     assert normal.dtype == np.float64
     assert abs(normal - expected).max() <= 1e-14 * abs(expected).max()
     assert normal.nnz == expected.nnz
+
+
+def test_model_normal_plan_same_from_every_kernel(rng):
+    # each kernel holds the same exact stencil B, so the plan built from any
+    # frequency's kernel fills a bit-identical N
+    setup = box_anomaly_setup()
+    geom = setup.geometry
+    dataset = FrequencyDataset(frequencies=setup.frequencies, geometry=geom,
+                               data=[np.zeros((geom.n_receivers, geom.n_sources))] * 3,
+                               noise_level=[1.0] * 3)
+    problem = InversionProblem(setup.true_model.grid, PmlConfig(), StencilScheme(), dataset,
+                               bounds=setup.bounds)
+    shape = (3, problem.n_pad, geom.n_sources)
+    us = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    first, *others = [ModelNormalPlan(k).matrix(problem.kernels, us) for k in problem.kernels]
+    for normal in others:
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(normal, part), getattr(first, part))
+
+
+def test_problem_rejects_unknown_bounds_mode():
+    # checked at set-up, before any factorization
+    with pytest.raises(ParameterError):
+        tiny_problem(bounds_mode="sideways")
 
 
 def test_superlu_fallback_cycle_matches_banded(monkeypatch):

@@ -74,8 +74,9 @@ def test_low_frequency_limit_reduces_to_laplacian():
         kern = build_kernel(grid, omega, pml, scheme)
         gap = abs(kern.assemble(m.values) - kern.laplacian).max()
         assert gap <= omega**2 * m.values.max() * 1.0000001
-    with pytest.raises(ParameterError):
-        build_kernel(grid, 0.0, pml, scheme)
+    for omega in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ParameterError):
+            build_kernel(grid, omega, pml, scheme)
 
 
 def test_five_point_matrix_matches_hand_assembly():

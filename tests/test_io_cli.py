@@ -101,6 +101,15 @@ def test_dataset_payload_size_check(tmp_path):
     (tmp_path / "bad.iwd").write_bytes(blob[:-8])
     with pytest.raises(FormatError):
         read_dataset(tmp_path / "bad.iwd")
+    # non-finite or out-of-range header numbers (the file holds two frequencies)
+    for key, values in (("freq", "nan 5.0"), ("freq", "2.5 inf"), ("freq", "-2.5 5.0"),
+                        ("eps", "nan 1e-05"), ("eps", "-1.0 1e-05"), ("scale", "nan 1.0")):
+        lines = blob.split(b"\n")
+        i = next(i for i, line in enumerate(lines[:10]) if line.startswith(f"{key} ".encode()))
+        lines[i] = f"{key} {values}".encode()
+        (tmp_path / "bad.iwd").write_bytes(b"\n".join(lines))
+        with pytest.raises(FormatError):
+            read_dataset(tmp_path / "bad.iwd")
 
 
 # -- convergence CSV ---------------------------------------------------------------
@@ -323,6 +332,7 @@ def test_cli_forward_then_invert_roundtrip(tmp_path):
     meta = json.loads((tmp_path / "inv" / "metadata.json").read_text())
     assert meta["run"]["iterations_total"] >= 1
     assert meta["run"]["batches"][0]["lambda"][0] > 0
+    assert meta["run"]["batches"][0]["model_warnings"] == 0
 
 
 def test_cli_variants_produce_distinct_models(tmp_path):

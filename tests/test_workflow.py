@@ -192,6 +192,28 @@ def test_run_inversion_multi_path_threading():
     assert np.array_equal(result.final_model.values, 1.0 / np.sqrt(m_cur.values))
 
 
+def test_model_warnings_counted_per_batch(monkeypatch):
+    import iwri.engine as engine
+
+    forced = []
+
+    def factorize_singular_once(H, ordering=None):
+        if not np.iscomplexobj(H.data) and not forced:  # the first model system
+            forced.append(H.shape)
+            raise linalg.FactorizationError("forced singular model system")
+        return linalg.factorize(H, ordering=ordering)
+
+    v_true, dataset, settings = small_setup()
+    monkeypatch.setattr(engine, "factorize", factorize_singular_once)
+    criteria = StoppingCriteria(k_max=3, delta=1e-16, eps_n=1e-16)
+    plan = ContinuationPlan(batches=((5.0, 8.0),))
+    result = run_inversion(build_homogeneous(v_true.grid, 1850.0), plan, dataset, settings,
+                           criteria)
+    assert forced == [(v_true.grid.n, v_true.grid.n)]
+    assert result.batches[0].info.model_warnings == 1
+    assert result.metadata["batches"][0]["model_warnings"] == 1
+
+
 def test_run_inversion_determinism():
     v_true, dataset, settings = small_setup()
     m0_model = build_homogeneous(v_true.grid, 1850.0)
