@@ -58,8 +58,13 @@ class StoppingCriteria:
     def __post_init__(self):
         if self.k_max < 1:
             raise ParameterError(f"k_max must be >= 1, got {self.k_max}")
-        if self.delta <= 0:
-            raise ParameterError(f"delta must be positive, got {self.delta}")
+        if not 0 < self.delta < math.inf:
+            raise ParameterError(f"delta must be finite and positive, got {self.delta}")
+        if self.eps_n is not None:
+            eps = np.asarray(self.eps_n, dtype=float)
+            if eps.ndim > 1 or not np.all((eps >= 0) & (eps < math.inf)):
+                raise ParameterError(f"eps_n must be finite and >= 0, a scalar or one value "
+                                     f"per frequency, got {self.eps_n}")
 
     def resolved_eps(self, noise_level):
         if self.eps_n is None:

@@ -348,7 +348,7 @@ def test_shared_layouts_factor_bit_equal_to_fresh(rng):
         # the first system of each ordering binds its layout, the others reuse it
         assert layout.positions(H) is bound.setdefault(id(layout), layout.positions(H))
         fresh = factorize(H, ordering=np.asarray(layout))
-        assert np.array_equal(shared._band, fresh._band)
+        assert np.array_equal(shared._factor, fresh._factor)
         b = rhs if np.iscomplexobj(H.data) else rhs.real[:n]
         assert np.array_equal(shared.solve(b), fresh.solve(b))
 

@@ -128,6 +128,97 @@ def test_factorize_breakdown_reports_pivot():
     with pytest.raises(FactorizationError) as info:
         factorize(H)
     assert info.value.pivot_index == 2
+    # the pivot is named in H's own numbering, not in the band ordering
+    with pytest.raises(FactorizationError) as info:
+        factorize(sp.diags([1.0, -1.0, 1.0, 1.0, 1.0, 1.0]).tocsr(), ordering=[5, 4, 3, 2, 1, 0])
+    assert info.value.pivot_index == 1
+    # a band wide enough to split: a negative pivot in block 1, in block 2 and
+    # in the separator, with the natural and with a reversing ordering
+    n, b = 40, 3
+    for bad in (5, 34, 19):  # s = 18: block 1 is 0..17, the separator 18..20
+        H = _spd_with_pairs(n, [(i, i + k) for k in (1, b) for i in range(n - k)]).tolil()
+        H[bad, bad] = -10.0
+        for ordering in (None, np.arange(n)[::-1]):
+            with pytest.raises(FactorizationError) as info:
+                factorize(H.tocsr(), ordering=ordering)
+            assert info.value.pivot_index == bad
+
+
+def _random_band(rng, n, b, complex_values, ordering):
+    """Hermitian positive definite matrix of bandwidth b in the band order
+    H[ordering][:, ordering], with every diagonal of the band occupied."""
+    band = np.zeros((n, n), dtype=complex if complex_values else float)
+    for k in range(1, b + 1):
+        values = rng.standard_normal(n - k) + (1j * rng.standard_normal(n - k) if complex_values else 0)
+        band += np.diag(values, -k)
+    band += band.conj().T + np.diag(2.0 * b + 1.0 + rng.random(n))
+    inv = np.argsort(ordering)
+    return sp.csr_matrix(band[np.ix_(inv, inv)])
+
+
+@pytest.mark.parametrize("n, b", [(7, 0), (1, 0), (5, 4), (9, 3), (16, 3), (41, 4), (60, 7)])
+@pytest.mark.parametrize("complex_values", [True, False])
+def test_split_factorization_matches_dense_solve(rng, n, b, complex_values):
+    # b = 0, n < 4(b+1), n = 4(b+1) and halves of unequal size ((n - b) odd)
+    ordering = rng.permutation(n)
+    H = _random_band(rng, n, b, complex_values, ordering)
+    fact = factorize(H, ordering=ordering)
+    s = (n - b) // 2
+    assert fact._backend == "banded" and fact._split.b == b
+    assert [block[:2] for block in fact._split.blocks] == [(0, s), (s, n - b - s)]
+    dense = H.toarray()
+    for shape in [(n,), (n, 1), (n, 3)]:
+        rhs = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape)]
+        if not complex_values:  # a real right-hand side too
+            rhs.append(rng.standard_normal(shape))
+        for r in rhs:
+            x = fact.solve(r)
+            expected = np.linalg.solve(dense, r)
+            assert x.shape == r.shape and x.dtype == expected.dtype
+            assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_split_factorization_repeats_bit_equal(rng):
+    n, b = 200, 9
+    ordering = rng.permutation(n)
+    H = _random_band(rng, n, b, True, ordering)
+    rhs = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    first, second = factorize(H, ordering=ordering), factorize(H, ordering=ordering)
+    assert np.array_equal(first._factor, second._factor)
+    assert np.array_equal(first.solve(rhs), second.solve(rhs))
+
+
+def test_split_factorization_solves_from_many_threads(rng):
+    import sys
+    import threading
+
+    n, b = 400, 12
+    ordering = rng.permutation(n)
+    H = _random_band(rng, n, b, True, ordering)
+    fact = factorize(H, ordering=ordering)
+    assert fact._split.b == b  # the separator path is exercised
+    rhs = [rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2)) for _ in range(8)]
+    expected = [fact.solve(r) for r in rhs]
+    results = [[] for _ in rhs]
+
+    def work(i):
+        for _ in range(20):
+            results[i].append(fact.solve(rhs[i]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(rhs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got, want in zip(results, expected):
+        assert len(got) == 20
+        assert all(np.array_equal(x, want) for x in got)
 
 
 def test_solve_shape_error(rng):
@@ -169,7 +260,7 @@ def test_layout_detects_another_pattern(rng):
         assert layout.positions(H) is not bound
         fact = factorize(H, ordering=layout)
         assert np.linalg.norm(H @ fact.solve(b) - b) / np.linalg.norm(b) < 1e-12
-        assert np.array_equal(fact._band, factorize(H, ordering=order)._band)
+        assert np.array_equal(fact._factor, factorize(H, ordering=order)._factor)
     assert layout.positions(first) is bound  # still bound to the first pattern
     with pytest.raises(ShapeError):
         factorize(_spd_with_pairs(n + 1, []), ordering=layout)
@@ -330,3 +421,16 @@ def test_every_solve_goes_through_one_method(monkeypatch):
     u = forward_solve(A, b)
     assert np.linalg.norm(A @ u - b) < 1e-11 * np.linalg.norm(b)
     assert calls[1:] == [("splu", (A.shape[0],))]
+
+
+def _solve_first_entry(n):
+    H = _spd_with_pairs(n, [(i, i + 1) for i in range(n - 1)])
+    return float(factorize(H).solve(np.ones(n))[0])
+
+
+def test_factorize_in_forked_child():
+    import multiprocessing
+
+    expected = _solve_first_entry(50)  # starts the worker thread in this process
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        assert pool.apply_async(_solve_first_entry, (50,)).get(timeout=30) == expected

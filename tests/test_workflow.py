@@ -68,6 +68,22 @@ def test_check_stop_truth_table(rng):
         assert got is expected
 
 
+@pytest.mark.parametrize("delta, eps_n", [(np.nan, 1e-5), (np.inf, 1e-5), (0.0, 1e-5),
+                                           (1e-3, np.nan), (1e-3, -1e-5), (1e-3, np.inf),
+                                           (1e-3, [1e-5, np.nan]), (1e-3, [[1e-5]])])
+def test_stopping_criteria_rejects_nonfinite_thresholds(delta, eps_n):
+    with pytest.raises(ParameterError):
+        StoppingCriteria(k_max=5, delta=delta, eps_n=eps_n)
+
+
+def test_stopping_criteria_accepts_zero_and_per_frequency_eps():
+    noise = np.array([1e-5, 1e-5])
+    assert check_stop(1, stats(0.0, [0.0, 0.0]), StoppingCriteria(k_max=5, eps_n=0.0),
+                      noise) is StopReason.CONVERGED
+    crit = StoppingCriteria(k_max=5, eps_n=[1e-5, 2e-5])
+    assert check_stop(1, stats(0.0, [0.5e-5, 1.5e-5]), crit, noise) is StopReason.CONVERGED
+
+
 def test_check_stop_eps_fallback_to_noise_level():
     crit = StoppingCriteria(k_max=10, delta=1e-3, eps_n=None)
     noise = np.array([3e-4, 5e-4])
