@@ -167,7 +167,6 @@ class InversionProblem:
         if bounds_mode not in ("bregman", "clip"):
             raise ParameterError(f"unknown bound mode {bounds_mode!r}")
         self.grid = grid
-        self.scheme = scheme
         self.bounds_mode = bounds_mode
         self.geometry = dataset.geometry
         self.geometry.validate(grid)
@@ -184,7 +183,6 @@ class InversionProblem:
         self.sources = [source_matrix(topo, self.geometry.sources, amp)
                         for amp in dataset.source_scale]
 
-        self.bounds = bounds
         if bounds is not None:
             self.lo, self.hi = bounds.slowness_sq_interval()
         else:

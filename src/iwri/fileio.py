@@ -5,6 +5,7 @@ All writers are deterministic byte-for-byte for identical inputs; floats
 are serialized with shortest round-trip precision.
 """
 
+import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -13,7 +14,7 @@ import numpy as np
 
 from .acquisition import AcquisitionGeometry, FrequencyDataset
 from .engine import Variant
-from .errors import ConfigError, FormatError, ParameterError
+from .errors import ConfigError, FormatError, IwriError
 from .grid import Bounds, Grid2D, VelocityModel
 from .helmholtz import PmlConfig, StencilScheme
 from .workflow import (ContinuationPlan, ConvergenceRecord, InversionSettings,
@@ -23,23 +24,23 @@ MODEL_MAGIC = "IWRI-MODEL-1"
 DATA_MAGIC = "IWRI-DATA-1"
 
 
-# -- velocity model files ----------------------------------------------------
-
-
-def write_model_file(model, path):
-    """5-line text header (magic, nx, nz, dx, dz) + little-endian float32
-    payload, row-major with x fastest, units m/s."""
-    grid = model.grid
-    header = f"{MODEL_MAGIC}\n{grid.nx}\n{grid.nz}\n{grid.dx!r}\n{grid.dz!r}\n"
-    payload = model.values.astype("<f4").tobytes()
+def _write(path, header_lines, payload):
+    """Write the ASCII ``header_lines``, each ended by a newline, then the
+    ``payload`` bytes."""
     with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
+        fh.write("".join(line + "\n" for line in header_lines).encode("ascii"))
         fh.write(payload)
 
 
-def _read_header_lines(blob, count, path):
+def _read(path, magic, n_lines, parse, dtype):
+    """Read ``n_lines`` ASCII header lines, the first ``magic``, then a payload
+    of finite ``dtype`` items.  ``parse`` takes the lines after the magic and
+    returns the item count and a function building the result from the
+    payload; a ValueError or KeyError from either, or an IwriError from what
+    they build, becomes a FormatError naming ``path``, as does every other defect."""
+    blob = Path(path).read_bytes()
     lines, offset = [], 0
-    for _ in range(count):
+    for _ in range(n_lines):
         nl = blob.find(b"\n", offset)
         if nl < 0:
             raise FormatError(f"{path}: truncated header", offset=offset)
@@ -48,30 +49,44 @@ def _read_header_lines(blob, count, path):
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path}: non-ascii header byte", offset=offset) from exc
         offset = nl + 1
-    return lines, offset
+    if lines[0] != magic:
+        raise FormatError(f"{path}: bad magic {lines[0]!r}", offset=0)
+    item = np.dtype(dtype).itemsize
+    try:
+        count, build = parse(lines[1:])
+        if len(blob) - offset != count * item:
+            raise FormatError(f"{path}: payload is {len(blob) - offset} bytes, "
+                              f"expected {count * item}", offset=offset)
+        values = np.frombuffer(blob, dtype=dtype, count=count, offset=offset)
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise FormatError(f"{path}: non-finite value at payload index {int(bad[0])}",
+                              offset=offset + int(bad[0]) * item)
+        return build(values)
+    except (KeyError, ValueError) as exc:
+        raise FormatError(f"{path}: malformed header: {exc}", offset=0) from exc
+    except FormatError:
+        raise
+    except IwriError as exc:
+        raise FormatError(f"{path}: {exc}", offset=0) from exc
+
+
+# -- velocity model files ----------------------------------------------------
+
+
+def write_model_file(model, path):
+    """5-line text header (magic, nx, nz, dx, dz) + little-endian float32
+    payload, row-major with x fastest, units m/s."""
+    grid = model.grid
+    _write(path, [MODEL_MAGIC, str(grid.nx), str(grid.nz), repr(grid.dx), repr(grid.dz)],
+           model.values.astype("<f4").tobytes())
 
 
 def read_model_file(path):
-    blob = Path(path).read_bytes()
-    lines, offset = _read_header_lines(blob, 5, path)
-    if lines[0] != MODEL_MAGIC:
-        raise FormatError(f"{path}: bad magic {lines[0]!r}", offset=0)
-    try:
-        nx, nz = int(lines[1]), int(lines[2])
-        dx, dz = float(lines[3]), float(lines[4])
-    except ValueError as exc:
-        raise FormatError(f"{path}: malformed header field: {exc}", offset=0) from exc
-    grid = Grid2D(nx, nz, dx, dz)
-    expected = grid.n * 4
-    if len(blob) - offset != expected:
-        raise FormatError(f"{path}: payload is {len(blob) - offset} bytes, "
-                          f"expected {expected}", offset=offset)
-    values = np.frombuffer(blob, dtype="<f4", count=grid.n, offset=offset).astype(np.float64)
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise FormatError(f"{path}: non-finite value at payload index {int(bad[0])}",
-                          offset=offset + int(bad[0]) * 4)
-    return VelocityModel(grid, values)
+    def parse(lines):
+        grid = Grid2D(int(lines[0]), int(lines[1]), _real(lines[2]), _real(lines[3]))
+        return grid.n, lambda values: VelocityModel(grid, values)
+    return _read(path, MODEL_MAGIC, 5, parse, "<f4")
 
 
 # -- frequency-domain dataset files ------------------------------------------
@@ -83,7 +98,7 @@ def write_dataset(dataset, path):
     geo = dataset.geometry
     fmt = lambda v: repr(float(v))
     pos = lambda pts: ";".join(f"{fmt(x)},{fmt(z)}" for x, z in pts)
-    header = "\n".join([
+    _write(path, [
         DATA_MAGIC,
         f"nfreq {dataset.n_frequencies}",
         f"nsrc {geo.n_sources}",
@@ -94,11 +109,7 @@ def write_dataset(dataset, path):
         f"seed {'-' if dataset.seed is None else int(dataset.seed)}",
         "src " + pos(geo.sources),
         "rec " + pos(geo.receivers),
-    ]) + "\n"
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        for block in dataset.data:
-            fh.write(np.ascontiguousarray(block.T, dtype="<c16").tobytes())
+    ], b"".join(np.ascontiguousarray(block.T, dtype="<c16").tobytes() for block in dataset.data))
 
 
 def _real(text, allowed=()):
@@ -118,42 +129,24 @@ def _parse_points(text):
 
 
 def read_dataset(path):
-    blob = Path(path).read_bytes()
-    lines, offset = _read_header_lines(blob, 10, path)
-    if lines[0] != DATA_MAGIC:
-        raise FormatError(f"{path}: bad magic {lines[0]!r}", offset=0)
-    fields = {}
-    for line in lines[1:]:
-        key, _, rest = line.partition(" ")
-        fields[key] = rest
-    try:
-        nfreq, nsrc, nrec = int(fields["nfreq"]), int(fields["nsrc"]), int(fields["nrec"])
-        freqs = tuple(_real(v) for v in fields["freq"].split())
-        scales = tuple(_real(v) for v in fields["scale"].split())
-        eps = np.array([_real(v) for v in fields["eps"].split()])
-        seed = None if fields["seed"] == "-" else int(fields["seed"])
+    def parse(lines):
+        fields = dict(line.partition(" ")[::2] for line in lines)
+        nfreq, nsrc, nrec = (int(fields[key]) for key in ("nfreq", "nsrc", "nrec"))
+        freqs, scales, eps = (tuple(_real(v) for v in fields[key].split())
+                              for key in ("freq", "scale", "eps"))
+        if not len(freqs) == len(scales) == len(eps) == nfreq:
+            raise ValueError("inconsistent per-frequency header counts")
         geometry = AcquisitionGeometry(sources=_parse_points(fields["src"]),
                                        receivers=_parse_points(fields["rec"]))
-    except (KeyError, ValueError) as exc:
-        raise FormatError(f"{path}: malformed header: {exc}", offset=0) from exc
-    if len(freqs) != nfreq or len(scales) != nfreq or eps.size != nfreq:
-        raise FormatError(f"{path}: inconsistent per-frequency header counts", offset=0)
-    expected = nfreq * nsrc * nrec * 16
-    if len(blob) - offset != expected:
-        raise FormatError(f"{path}: payload is {len(blob) - offset} bytes, "
-                          f"expected {expected}", offset=offset)
-    raw = np.frombuffer(blob, dtype="<c16", count=nfreq * nsrc * nrec, offset=offset)
-    bad = np.flatnonzero(~np.isfinite(raw))
-    if bad.size:
-        raise FormatError(f"{path}: non-finite sample at index {int(bad[0])}",
-                          offset=offset + int(bad[0]) * 16)
-    blocks = [raw[i * nsrc * nrec:(i + 1) * nsrc * nrec].reshape(nsrc, nrec).T.copy()
-              for i in range(nfreq)]
-    try:
-        return FrequencyDataset(frequencies=freqs, geometry=geometry, data=blocks,
-                                noise_level=eps, source_scale=scales, seed=seed)
-    except ParameterError as exc:
-        raise FormatError(f"{path}: {exc}", offset=0) from exc
+        if (geometry.n_sources, geometry.n_receivers) != (nsrc, nrec):
+            raise ValueError(f"nsrc {nsrc}, nrec {nrec} disagree with {geometry.n_sources} "
+                             f"src and {geometry.n_receivers} rec positions")
+        seed = None if fields["seed"] == "-" else int(fields["seed"])
+        return nfreq * nsrc * nrec, lambda raw: FrequencyDataset(
+            frequencies=freqs, geometry=geometry,
+            data=[block.T.copy() for block in raw.reshape(nfreq, nsrc, nrec)],
+            noise_level=np.array(eps), source_scale=scales, seed=seed)
+    return _read(path, DATA_MAGIC, 10, parse, "<c16")
 
 
 # -- convergence CSV ----------------------------------------------------------
@@ -178,25 +171,17 @@ def write_convergence_csv(record, path):
         row = [record.k[i], record.data_misfit[i], record.pde_misfit[i],
                record.model_error[i], record.wavefield_error[i], record.pde_solves[i]]
         lines.append(",".join(_csv_cell(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    _write(path, lines, b"")
 
 
 def read_convergence_csv(path):
-    text = Path(path).read_text(encoding="ascii").strip().split("\n")
-    header = text[0].split(",")
     record = ConvergenceRecord()
-    for line in text[1:]:
-        if not line:
-            continue
-        cells = dict(zip(header, line.split(",")))
-        record.append(
-            int(cells["k"]),
-            float(cells["data_misfit"]),
-            float(cells["pde_misfit"]),
-            float(cells["model_error"]) if cells.get("model_error") else None,
-            float(cells["wavefield_error"]) if cells.get("wavefield_error") else None,
-            int(cells["pde_solves"]),
-        )
+    with open(path, newline="", encoding="ascii") as fh:
+        for row in csv.DictReader(fh):
+            optional = lambda key: float(row[key]) if row.get(key) else None
+            record.append(int(row["k"]), float(row["data_misfit"]), float(row["pde_misfit"]),
+                          optional("model_error"), optional("wavefield_error"),
+                          int(row["pde_solves"]))
     return record
 
 
@@ -221,9 +206,7 @@ def write_raster(field, path, scaling="minmax"):
         scaled = np.rint(255.0 * (field - lo) / (hi - lo))
         pixels = np.clip(scaled, 0, 255).astype(np.uint8)
     nz, nx = field.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{nx} {nz}\n255\n".encode("ascii"))
-        fh.write(pixels.tobytes())
+    _write(path, ["P5", f"{nx} {nz}", "255"], pixels.tobytes())
 
 
 # -- run configuration ----------------------------------------------------------

@@ -25,8 +25,8 @@ class Grid2D:
     def __post_init__(self):
         if self.nx < 3 or self.nz < 3:
             raise InvalidModelError(f"grid must be at least 3x3, got {self.nx}x{self.nz}")
-        if self.dx <= 0 or self.dz <= 0:
-            raise InvalidModelError(f"grid spacings must be positive, got {self.dx}, {self.dz}")
+        if not (0 < self.dx < np.inf and 0 < self.dz < np.inf):
+            raise InvalidModelError(f"grid spacings must be finite and positive, got {self.dx}, {self.dz}")
 
     @property
     def n(self):
@@ -76,31 +76,30 @@ def _check_field(grid, values, what):
 
 
 @dataclass
-class VelocityModel:
+class _Field:
+    """Checked field on a Grid2D, the body of both model types (``_what`` names one in errors)."""
+
+    grid: Grid2D
+    values: np.ndarray
+    _what = "field"
+
+    def __post_init__(self):
+        self.values = _check_field(self.grid, self.values, self._what)
+
+    def as_2d(self):
+        return self.values.reshape(self.grid.nz, self.grid.nx)
+
+
+class VelocityModel(_Field):
     """Velocity field in m/s on a Grid2D (the I/O and display parametrization)."""
 
-    grid: Grid2D
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = _check_field(self.grid, self.values, "velocity model")
-
-    def as_2d(self):
-        return self.values.reshape(self.grid.nz, self.grid.nx)
+    _what = "velocity model"
 
 
-@dataclass
-class SlownessSqModel:
+class SlownessSqModel(_Field):
     """Squared slowness (s^2/m^2), the optimization variable of the inversion."""
 
-    grid: Grid2D
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = _check_field(self.grid, self.values, "squared-slowness model")
-
-    def as_2d(self):
-        return self.values.reshape(self.grid.nz, self.grid.nx)
+    _what = "squared-slowness model"
 
 
 @dataclass(frozen=True)

@@ -127,8 +127,6 @@ class PaddedTopology:
 
     grid: Grid2D
     grid_pad: Grid2D
-    off_x: int
-    off_z: int
     phys_of_pad: np.ndarray  # physical cell replicated into each padded cell
     pad_of_phys: np.ndarray  # padded index of each physical cell
 
@@ -138,21 +136,15 @@ class PaddedTopology:
 
 
 def pad_topology(grid, pml):
-    left = pml.n_layers if "left" in pml.sides else 0
-    right = pml.n_layers if "right" in pml.sides else 0
-    top = pml.n_layers if "top" in pml.sides else 0
-    bottom = pml.n_layers if "bottom" in pml.sides else 0
-    nx_pad, nz_pad = grid.nx + left + right, grid.nz + top + bottom
-    grid_pad = Grid2D(nx_pad, nz_pad, grid.dx, grid.dz)
-
-    ixp, izp = np.meshgrid(np.arange(nx_pad), np.arange(nz_pad), indexing="xy")
-    ix = np.clip(ixp - left, 0, grid.nx - 1)
-    iz = np.clip(izp - top, 0, grid.nz - 1)
-    phys_of_pad = (iz * grid.nx + ix).ravel()
-
-    ix, iz = np.meshgrid(np.arange(grid.nx), np.arange(grid.nz), indexing="xy")
-    pad_of_phys = ((iz + top) * nx_pad + (ix + left)).ravel()
-    return PaddedTopology(grid, grid_pad, left, top, phys_of_pad, pad_of_phys)
+    top, bottom, left, right = (pml.n_layers if side in pml.sides else 0
+                                for side in ("top", "bottom", "left", "right"))
+    # edge padding of the physical index grid is the PML's edge replication
+    phys_of_pad = np.pad(np.arange(grid.n).reshape(grid.nz, grid.nx),
+                         ((top, bottom), (left, right)), mode="edge")
+    nz_pad, nx_pad = phys_of_pad.shape
+    pad_index = np.arange(nz_pad * nx_pad).reshape(nz_pad, nx_pad)
+    return PaddedTopology(grid, Grid2D(nx_pad, nz_pad, grid.dx, grid.dz), phys_of_pad.ravel(),
+                          pad_index[top:top + grid.nz, left:left + grid.nx].ravel())
 
 
 def _axis_damping(n_cells, spacing, n_layers, lo_on, hi_on, sigma_max, exponent):
@@ -225,8 +217,6 @@ class HelmholtzKernel:
             raise ParameterError("PML config must be resolved (max_damping set) to build a kernel")
         self.grid = grid
         self.omega = float(omega)
-        self.pml = pml
-        self.scheme = scheme
         self.topology = pad_topology(grid, pml)
 
         gp = self.topology.grid_pad

@@ -12,6 +12,9 @@ def test_grid_validation():
         Grid2D(2, 5, 10.0, 10.0)
     with pytest.raises(InvalidModelError):
         Grid2D(5, 5, 0.0, 10.0)
+    for dx, dz in ((np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf), (-np.inf, 1.0)):
+        with pytest.raises(InvalidModelError):
+            Grid2D(4, 3, dx, dz)
     grid = Grid2D(4, 3, 10.0, 5.0)
     assert grid.n == 12
     assert grid.width == 40.0 and grid.depth == 15.0

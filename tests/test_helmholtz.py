@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,23 @@ def test_pad_topology_maps():
                                         sides=frozenset({"bottom", "left", "right"})))
     assert free.grid_pad.nz == 6
     assert free.pad_of_phys[0] == 2  # first physical cell sits at padded (ix=2, iz=0)
+    # every side set at 0, 3 and 10 layers against the clipped-index construction
+    for n_layers in (0, 3, 10):
+        for k in range(5):
+            for sides in itertools.combinations(("top", "bottom", "left", "right"), k):
+                topo = pad_topology(grid, PmlConfig(n_layers=n_layers, max_damping=50.0,
+                                                    sides=frozenset(sides)))
+                top, bottom, left, right = (n_layers if s in sides else 0
+                                            for s in ("top", "bottom", "left", "right"))
+                nx_pad = grid.nx + left + right
+                assert topo.grid_pad == Grid2D(nx_pad, grid.nz + top + bottom, 10.0, 10.0)
+                izp, ixp = np.divmod(np.arange(topo.n_pad), nx_pad)
+                phys = (np.clip(izp - top, 0, grid.nz - 1) * grid.nx
+                        + np.clip(ixp - left, 0, grid.nx - 1))
+                iz, ix = np.divmod(np.arange(grid.n), grid.nx)
+                for got, want in ((topo.phys_of_pad, phys),
+                                  (topo.pad_of_phys, (iz + top) * nx_pad + ix + left)):
+                    assert got.dtype == want.dtype and np.array_equal(got, want), (n_layers, sides)
 
 
 def test_low_frequency_limit_reduces_to_laplacian():

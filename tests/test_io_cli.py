@@ -57,6 +57,14 @@ def test_model_header_and_size_checks(tmp_path):
     with pytest.raises(FormatError) as err:
         read_model_file(tmp_path / "nan.mod")
     assert "index 7" in str(err.value)
+    # non-finite spacings and a non-integer count in the header
+    for line, text in ((3, b"nan"), (3, b"inf"), (4, b"nan"), (4, b"-inf"), (1, b"100.5")):
+        lines = blob.split(b"\n", 5)
+        lines[line] = text
+        (tmp_path / "head.mod").write_bytes(b"\n".join(lines))
+        with pytest.raises(FormatError) as err:
+            read_model_file(tmp_path / "head.mod")
+        assert str(err.value).startswith(f"{tmp_path / 'head.mod'}: "), (line, text)
 
 
 def test_model_write_is_deterministic(tmp_path, rng):
@@ -110,6 +118,13 @@ def test_dataset_payload_size_check(tmp_path):
         (tmp_path / "bad.iwd").write_bytes(b"\n".join(lines))
         with pytest.raises(FormatError):
             read_dataset(tmp_path / "bad.iwd")
+    # nsrc/nrec swapped: the payload length still matches, the position lists do not
+    lines = blob.split(b"\n", 10)
+    lines[2:4] = [b"nsrc 3", b"nrec 2"]
+    (tmp_path / "bad.iwd").write_bytes(b"\n".join(lines))
+    with pytest.raises(FormatError) as err:
+        read_dataset(tmp_path / "bad.iwd")
+    assert str(err.value).startswith(f"{tmp_path / 'bad.iwd'}: ")
 
 
 # -- convergence CSV ---------------------------------------------------------------
@@ -278,6 +293,13 @@ def test_cli_malformed_value_exits_before_any_work(tmp_path, capsys):
     assert cli_dispatch(["invert", "--config", str(cfg), "--out", str(tmp_path / "inv"),
                          "--variant", "sideways"]) == 1
     assert capsys.readouterr().err.startswith("error: config key 'variant'")
+    # a model file whose header holds a non-finite spacing is named in the error
+    blob = (tmp_path / "true.mod").read_bytes().split(b"\n", 5)
+    blob[3] = b"nan"
+    (tmp_path / "true.mod").write_bytes(b"\n".join(blob))
+    assert cli_dispatch(["forward", "--config", str(cfg), "--out", str(tmp_path / "fwd")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'true.mod'}: ")
+    assert not (tmp_path / "fwd").exists()
 
 
 @pytest.mark.parametrize("word,free", [("true", True), ("Yes", True), ("1", True),
