@@ -29,7 +29,7 @@ from .errors import ParameterError, ShapeError, SolverError
 from .grid import velocity_to_slowness_sq
 from .helmholtz import build_kernel, forward_solve, resolve_pml
 from .acquisition import build_observation, source_matrix
-from .linalg import BandLayout, FactorizationError, assemble_normal_matrix, factorize
+from .linalg import DiagonalMap, FactorizationError, assemble_normal_matrix, factorize
 from .util import axis_minor_ordering, stacked_norm
 
 
@@ -114,48 +114,71 @@ class CycleStats:
 
 class ModelNormalPlan:
     """Fixed-pattern fill of the model normal matrix
-    N = Re sum_{k,s} R^T L_k(u_s)^H L_k(u_s) R, with R the padding map.
+    N = Re sum_{k,s} R^T L_k(u_s)^H L_k(u_s) R, with R the padding map, in
+    the band order ``ordering`` (perm[new] = old).
 
     Every kernel's mass matrix is S_k = B diag(c_k), with B the real
     mass-spreading stencil and c_k the PML damping, so with w = c_k u each
     entry of L_k(u)^H L_k(u) is omega_k^4 (B^T B)_ij Re(conj(w_i) w_j).
     B^T B lies on a few diagonals: per diagonal offset o, the source-summed
     products Re(conj(w_i) w_{i+o}) come from two shifted slices of w.  The
-    pattern of N and the position in it of every B^T B entry are computed
+    diagonals of N and the slot in them of every B^T B entry are computed
     once, from the kernel's B (``kernel.stencil``, held exactly): every
     kernel on the same grid, PML layers and scheme holds the same B, so the
     plan built from any of them is the same.  Each fill is one bincount per
     frequency."""
 
-    def __init__(self, kernel):
+    def __init__(self, kernel, ordering):
         n = kernel.grid.n
         G = (kernel.stencil.T @ kernel.stencil).tocoo()
         n_pad = G.shape[0]
         phys = kernel.topology.phys_of_pad
-        keys, pos = np.unique(phys[G.row] * n + phys[G.col], return_inverse=True)
+        inv = np.argsort(ordering)
+        rows, cols = inv[phys[G.row]], inv[phys[G.col]]
+        self.offsets, k = np.unique(cols - rows, return_inverse=True)
+        slot = k * n + cols  # N[perm][:, perm] in dia_matrix layout
         self.shape = (n, n)
-        self.indices = keys % n
-        self.indptr = np.concatenate(([0], np.cumsum(np.bincount(keys // n, minlength=n))))
         offsets = G.col - G.row
         present = np.flatnonzero(np.bincount(offsets - offsets.min())) + offsets.min()
         groups = [np.flatnonzero(offsets == o) for o in present]
         by_offset = np.concatenate(groups)
-        self.coef, self.pos = G.data[by_offset], pos[by_offset]
+        self.coef, self.slot = G.data[by_offset], slot[by_offset]
         # (offset, first row, end row, rows holding an entry minus the first row)
         self.diagonals = [(o, max(0, -o), n_pad - max(0, o), G.row[g] - max(0, -o))
                           for o, g in zip(present, groups)]
 
     def matrix(self, kernels, wavefields):
-        """N for per-frequency wavefields of shape (n_pad, n_sources)."""
-        data = np.zeros(self.indices.size)
+        """N[perm][:, perm] as a ``dia_matrix`` for per-frequency wavefields
+        of shape (n_pad, n_sources)."""
+        data = np.zeros(self.offsets.size * self.shape[0])
         for kern, u in zip(kernels, wavefields):
             w = kern.damping[:, None] * u
             wc = w.conj()
             q = np.concatenate([np.einsum("is,is->i", wc[lo:hi], w[lo + o:hi + o]).real[rows]
                                 for o, lo, hi, rows in self.diagonals])
-            data += np.bincount(self.pos, weights=kern.omega**4 * self.coef * q,
+            data += np.bincount(self.slot, weights=kern.omega**4 * self.coef * q,
                                 minlength=data.size)
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+        return sp.dia_matrix((data.reshape(self.offsets.size, -1), self.offsets), shape=self.shape)
+
+
+_PLANS = None, None  # (key, plans) of the last grid, PML and scheme
+
+
+def _band_plans(grid, pml, scheme, kernel):
+    """The band orders of the padded and the physical grid, the map reading
+    A(m) in band order and the model normal plan.  They depend only on the
+    grid, the resolved PML and the scheme (``kernel`` is any kernel on
+    them), so one build serves every batch."""
+    global _PLANS
+    key, plans = _PLANS
+    if key != (grid, pml, scheme):
+        pad, phys = (axis_minor_ordering(g.nz, g.nx) if g.nz < g.nx else np.arange(g.n)
+                     for g in (kernel.topology.grid_pad, grid))
+        pad.flags.writeable = phys.flags.writeable = False  # shared by problems
+        pattern = abs(kernel.laplacian) + abs(kernel.mass_basis)  # that of every A(m)
+        plans = pad, phys, DiagonalMap(pattern, pad), ModelNormalPlan(kernel, phys)
+        _PLANS = (grid, pml, scheme), plans
+    return plans
 
 
 class InversionProblem:
@@ -188,11 +211,10 @@ class InversionProblem:
         else:
             self.lo, self.hi = -np.inf, np.inf
 
-        def layout(g):  # one per ordering, shared by every frequency's system
-            return BandLayout(g.n, axis_minor_ordering(g.nz, g.nx) if g.nz < g.nx else None)
-
-        self.pad_ordering, self.phys_ordering = layout(topo.grid_pad), layout(grid)
-        self.model_normal = ModelNormalPlan(self.kernels[0])
+        # band orders (perm[new] = old) of the wavefield and the model systems
+        self.pad_ordering, self.phys_ordering, self.band_operator, self.model_normal = \
+            _band_plans(grid, self.pml, scheme, self.kernels[0])
+        self.band_P = self.P[:, self.pad_ordering]
 
         self.m_star = None
         self.u_star = None
@@ -280,21 +302,22 @@ def wri_gradient_m(kernel, m_values, u, b_eff):
 def estimate_model(normal, rhs, lo, hi, box, *, ordering=None, mode="bregman"):
     """Solve the accumulated model normal equations under box bounds.
 
-    ``bregman`` performs one split-Bregman pass (solve + clip + dual step)
-    and emits the auxiliary variable, which is inside the bounds by
-    construction; ``clip`` solves and projects.  A singular system is
+    ``normal`` is N[perm][:, perm] for the band order ``ordering`` (perm;
+    N itself when None); ``rhs``, the bounds and the result are in N's
+    order.  ``bregman`` performs one split-Bregman pass (solve + clip +
+    dual step) and emits the auxiliary variable, which is inside the bounds
+    by construction; ``clip`` solves and projects.  A singular system is
     retried with a small diagonal shift and flagged.
     """
-    normal = sp.csr_matrix(normal)
     rhs = np.asarray(rhs, dtype=float)
-    n = normal.shape[0]
+    perm = np.arange(normal.shape[0]) if ordering is None else ordering
     diag_mean = float(np.mean(normal.diagonal().real))
     warn = False
 
     if mode == "bregman":
         if box.gamma is None:
             box.gamma = 0.1 * diag_mean
-        system = normal + box.gamma * sp.identity(n, format="csr")
+        system = _add_to_diagonal(normal, box.gamma)
         full_rhs = rhs + box.gamma * (box.p - box.q)
     elif mode == "clip":
         system = normal
@@ -303,20 +326,27 @@ def estimate_model(normal, rhs, lo, hi, box, *, ordering=None, mode="bregman"):
         raise ParameterError(f"unknown bound mode {mode!r}")
 
     try:
-        fact = factorize(system, ordering=ordering)
-        m_raw = fact.solve(full_rhs)
+        m_raw = factorize(system).renumbered(perm).solve(full_rhs)
     except FactorizationError:
         warn = True
         shift = 1e-12 * (diag_mean if diag_mean > 0 else 1.0)
         logging.getLogger(__name__).warning("singular model normal matrix, applying diagonal shift")
-        fact = factorize(system + shift * sp.identity(n, format="csr"), ordering=ordering)
-        m_raw = fact.solve(full_rhs)
+        m_raw = factorize(_add_to_diagonal(system, shift)).renumbered(perm).solve(full_rhs)
 
     if mode == "bregman":
         box.p = np.clip(m_raw + box.q, lo, hi)
         box.q = box.q + m_raw - box.p
         return box.p.copy(), warn
     return np.clip(m_raw, lo, hi), warn
+
+
+def _add_to_diagonal(M, value):
+    """M + value * I as a ``dia_matrix``; M is not changed."""
+    if not (M.format == "dia" and M.data.shape[1] == M.shape[0] and 0 in M.offsets):
+        M = DiagonalMap(M)(M)
+    data = M.data.copy()
+    data[np.flatnonzero(M.offsets == 0)] += value
+    return sp.dia_matrix((data, M.offsets), shape=M.shape)
 
 
 # -- the outer cycle ---------------------------------------------------------
@@ -330,8 +360,9 @@ def _wavefield_phase(problem, state, params, i):
     lam = params.lambdas[i]
     d, b = problem.observed[i], problem.sources[i]
     duals = state.duals
-    try:
-        fact = factorize(assemble_normal_matrix(A, problem.P, lam), ordering=problem.pad_ordering)
+    try:  # H in band order, straight from the diagonals of A
+        H = assemble_normal_matrix(problem.band_operator(A), problem.band_P, lam)
+        fact = factorize(H).renumbered(problem.pad_ordering)
     except FactorizationError as exc:
         raise SolverError(f"wavefield normal-matrix factorization failed: {exc}",
                           frequency=problem.frequencies[i], iteration=state.k) from exc

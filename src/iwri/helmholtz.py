@@ -26,6 +26,7 @@ form.  Setting the blend weight to 1 and the mass spreading to pure
 lumping recovers the plain 5-point scheme everywhere.
 """
 
+import functools
 import hashlib
 import math
 import threading
@@ -192,6 +193,18 @@ def _offset_matrix(grid_pad, table):
     return mat
 
 
+@functools.lru_cache(maxsize=1)
+def _grid_parts(grid, pml, scheme):
+    """The padded topology and the mass-spreading stencil B.  Neither
+    depends on the frequency, so every kernel on one grid, PML and scheme
+    shares one build (read only)."""
+    topology = pad_topology(grid, pml)
+    stencil = _offset_matrix(topology.grid_pad, [((0, 0), scheme.mass_center)]
+                             + [(off, scheme.mass_edge) for off in ((0, 1), (0, -1), (1, 0), (-1, 0))]
+                             + [((dz, dx), scheme.mass_corner) for dz in (-1, 1) for dx in (-1, 1)])
+    return topology, stencil
+
+
 def _undamped_patch(sigma):
     """Cells of one axis whose three-cell neighbourhood is undamped, never
     the first or last cell."""
@@ -217,7 +230,7 @@ class HelmholtzKernel:
             raise ParameterError("PML config must be resolved (max_damping set) to build a kernel")
         self.grid = grid
         self.omega = float(omega)
-        self.topology = pad_topology(grid, pml)
+        self.topology, self.stencil = _grid_parts(grid, pml, scheme)
 
         gp = self.topology.grid_pad
         sigx_c, sigx_f = _axis_damping(gp.nx, grid.dx, pml.n_layers, "left" in pml.sides,
@@ -244,11 +257,6 @@ class HelmholtzKernel:
             ((0, 1), a_xp / dx2), ((0, -1), a_xm / dx2), ((1, 0), a_zp / dz2), ((-1, 0), a_zm / dz2),
         ] + [((dz, dx), rot) for dz in (-1, 1) for dx in (-1, 1)])
 
-        self.stencil = _offset_matrix(gp, [((0, 0), scheme.mass_center)]
-                                      + [(off, scheme.mass_edge)
-                                         for off in ((0, 1), (0, -1), (1, 0), (-1, 0))]
-                                      + [((dz, dx), scheme.mass_corner)
-                                         for dz in (-1, 1) for dx in (-1, 1)])
         B = self.stencil
         self.mass_basis = sp.csr_matrix((B.data * self.damping[B.indices], B.indices, B.indptr),
                                         shape=B.shape)

@@ -7,15 +7,19 @@ bandwidth-reducing reordering.  The band is split into two half-bands and
 a separator as wide as the band (the two-block partition of SPIKE:
 Polizzi and Sameh 2006, Parallel Computing 32(2)); LAPACK factors and
 solves the two half-bands at once, one on the calling thread and one on a
-single worker thread.  When the band would be too wide to store it falls
-back to a general sparse LU (SuperLU).  ``lu_factorize`` takes that
+single worker thread (or both on the calling thread on one CPU), each
+thread writing its half-band from the matrix's diagonals first.  When the
+band would be too wide to store it falls back to a general sparse LU
+(SuperLU).  ``lu_factorize`` takes that
 SuperLU path directly for a general complex matrix, such as the
 non-Hermitian forward operator A or A^H.  Both backends honor the same
 contract: small relative residuals on repeated solves against an
 immutable factorization.
 """
 
+import copy
 import ctypes
+import functools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -23,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.linalg.cython_blas as cython_blas
 import scipy.linalg.cython_lapack as cython_lapack
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -34,10 +39,11 @@ _MAX_BAND_BYTES = 512 * 2**20
 
 
 def _start_worker():
-    """The one worker thread: it factors and solves the second half-band of
-    every banded system while the calling thread does the first.  Its thread
-    starts on the first submission; it runs LAPACK calls only, never code
-    that waits on it.  A forked child gets a fresh one, since the parent's
+    """The one worker thread: it fills, factors and solves the second
+    half-band of every banded system while the calling thread does the
+    first.  Its thread starts on the first submission; it runs BLAS and
+    LAPACK calls and numpy on arrays it is handed, never code that waits on
+    it.  A forked child gets a fresh one, since the parent's
     thread does not exist there."""
     global _WORKER
     _WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="iwri-band")
@@ -48,41 +54,99 @@ os.register_at_fork(after_in_child=_start_worker)
 
 
 def assemble_normal_matrix(A, P, lam):
-    """H = P^H P + lam * A^H A, Hermitian positive definite for lam > 0
-    and invertible A.  H keeps the format and index order the sparse
-    product gives it."""
+    """H = P^H P + lam * A^H A as a ``dia_matrix`` in the index order of A
+    and P, Hermitian positive definite for lam > 0 and invertible A.  With
+    a_k[j] = A[j - k, j] the diagonals of A (a ``dia_matrix`` A is read as
+    stored, zero outside A), (A^H A)[j + d, j] is the sum over k of
+    conj(a_{k+d}[j + d]) a_k[j]: a sum of products of shifted slices."""
     if A.shape[0] != A.shape[1]:
         raise ShapeError(f"A must be square, got {A.shape}")
     if P.shape[1] != A.shape[0]:
         raise ShapeError(f"P has {P.shape[1]} columns, A is {A.shape[0]}x{A.shape[0]}")
     if not lam > 0:
         raise ParameterError(f"penalty weight must be positive, got {lam}")
-    A, P = sp.csr_matrix(A), sp.csr_matrix(P)
-    return P.conjugate().T @ P + lam * (A.conjugate().T @ A)
+    n, P = A.shape[0], sp.csr_matrix(P)
+    A = A if A.format == "dia" and A.data.shape[1] == n else DiagonalMap(A)(A)
+    a, row = A.data, {int(k): i for i, k in enumerate(A.offsets)}
+    lags = np.unique(np.subtract.outer(A.offsets, A.offsets))
+    lags = lags[(lags >= 0) & (lags < n)]
+    m = lags.size  # data rows m - 1 - i and m - 1 + i hold the diagonals -lags[i] and +lags[i]
+    data = np.zeros((2 * m - 1, n), dtype=np.result_type(a, P.dtype, float))
+    ac, term = a.conj(), np.empty(n, dtype=data.dtype)
+    for i, d in enumerate(lags):
+        lower = data[m - 1 - i, :n - d]
+        for k, r in row.items():
+            if k + d in row:
+                np.add(lower, np.multiply(ac[row[k + d], d:], a[r, :n - d], out=term[:n - d]), out=lower)
+    data[:m] *= lam
+    if np.all(np.diff(P.indptr) <= 1):  # P^H P lies on the diagonal
+        data[m - 1] += np.bincount(P.indices, weights=np.abs(P.data) ** 2, minlength=n)
+        P = None
+    for i, d in enumerate(lags[1:], 1):
+        np.conjugate(data[m - 1 - i, :n - d], out=data[m - 1 + i, d:])
+    H = sp.dia_matrix((data, np.concatenate((-lags[::-1], lags[1:]))), shape=(n, n))
+    if P is None:
+        return H
+    H = H + P.conjugate().T @ P  # P^H P off the diagonal: a sparse sum
+    return DiagonalMap(H)(H)
 
 
-def _capsule_function(name, argtypes):
-    """ctypes binding of the LAPACK routine ``name`` that scipy exports
-    through ``cython_lapack``.  A call through it releases the GIL."""
+class DiagonalMap:
+    """Reads a sparse matrix of one fixed pattern in the band order ``perm``
+    (perm[new] = old; its own order by default) as a ``dia_matrix`` that
+    holds the main diagonal, straight from its ``data``: the index map is
+    built once, from the first matrix.  A matrix of another pattern is read
+    through a map of its own; duplicate entries add up."""
+
+    def __init__(self, M, perm=None):
+        M = sp.csr_matrix(M, copy=True)
+        M.sum_duplicates()
+        n = M.shape[0]
+        self.perm = np.arange(n) if perm is None else np.asarray(perm)
+        self.indptr, self.indices = M.indptr, M.indices
+        inv = np.argsort(self.perm)
+        rows, cols = inv[np.repeat(np.arange(n), np.diff(M.indptr))], inv[M.indices]
+        self.offsets = np.unique(np.append(cols - rows, 0))
+        self.slots = np.searchsorted(self.offsets, cols - rows) * n + cols
+
+    def __call__(self, M):
+        """M[perm][:, perm] as a ``dia_matrix``."""
+        if not (M.format == "csr" and np.array_equal(M.indptr, self.indptr)
+                and np.array_equal(M.indices, self.indices)):
+            M = sp.csr_matrix(M, copy=True)
+            M.sum_duplicates()
+            return DiagonalMap(M, self.perm)(M)
+        data = np.zeros((self.offsets.size, M.shape[0]), dtype=M.dtype)
+        data.ravel()[self.slots] = M.data
+        return sp.dia_matrix((data, self.offsets), shape=M.shape)
+
+
+def _capsule_function(module, name, argtypes):
+    """ctypes binding of the BLAS or LAPACK routine ``name`` that scipy
+    exports through ``module``.  A call through it releases the GIL."""
     api = ctypes.pythonapi
     get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
     get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", api))
-    capsule = cython_lapack.__pyx_capi__[name]
+    capsule = module.__pyx_capi__[name]
     return ctypes.CFUNCTYPE(None, *argtypes)(get_pointer(capsule, get_name(capsule)))
 
 
 class _BandRoutines:
-    """``?pbtrf`` and ``?tbtrs`` of one dtype on lower band storage.  Each
-    operand is a Fortran-order array and the flat offset its LAPACK
-    argument starts at."""
+    """``?pbtrf`` and ``?tbtrs`` of one dtype on lower band storage, and
+    ``?herk`` (``dsyrk`` for real data).  Each operand is a Fortran-order
+    array and the flat offset its BLAS or LAPACK argument starts at."""
 
     def __init__(self, dtype, prefix):
         char, num, ptr = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int), ctypes.c_void_p
+        real = ctypes.POINTER(ctypes.c_double)
         self.dtype = np.dtype(dtype)
-        self._pbtrf = _capsule_function(prefix + "pbtrf", (char, num, num, ptr, num, num))
-        self._tbtrs = _capsule_function(prefix + "tbtrs",
+        self._pbtrf = _capsule_function(cython_lapack, prefix + "pbtrf", (char, num, num, ptr, num, num))
+        self._tbtrs = _capsule_function(cython_lapack, prefix + "tbtrs",
                                         (char, char, char, num, num, num, ptr, num, ptr, num, num))
+        self._herk = _capsule_function(cython_blas, "zherk" if prefix == "z" else "dsyrk",
+                                       (char, char, num, num, real, ptr, num, real, ptr, num))
+        self._adjoint = b"C" if prefix == "z" else b"T"
 
     def _at(self, a, offset, extent):
         """Address of ``a``'s flat entry ``offset``, once the ``extent``
@@ -111,6 +175,13 @@ class _BandRoutines:
                     self._at(band, offset, (b + 1) * n), _ref(b + 1),
                     self._at(rhs, row, ld * (nrhs - 1) + n), _ref(ld), ctypes.byref(info))
         return _checked("tbtrs", info)
+
+    def herk(self, alpha, a, offset, k, n, beta, c, c_offset):
+        """Overwrite the lower triangle of the n x n block from ``c[c_offset]``
+        with alpha W^H W + beta times it, W the k x n block from ``a[offset]``."""
+        self._herk(b"L", self._adjoint, _ref(n), _ref(k), ctypes.byref(ctypes.c_double(alpha)),
+                   self._at(a, offset, k * n), _ref(k), ctypes.byref(ctypes.c_double(beta)),
+                   self._at(c, c_offset, n * n), _ref(n))
 
 
 def _ref(value):
@@ -177,12 +248,22 @@ class BandSplit:
         dst[coupled] = d
         return src, dst
 
-    def _on_both_blocks(self, fn):
-        """``fn(*block)`` for both blocks: block 2 on the worker thread while
-        this thread does block 1.  Returns both results once both are done."""
-        pending = _WORKER.submit(fn, *self.blocks[1])
+    def band(self, flat, k):
+        """Block k's half-band in LAPACK's lower band storage: a (b + 1) x
+        size Fortran-order view of ``flat``, row d holding entries (j + d, j)."""
+        start, size, _, _ = self.blocks[k]
+        return flat[start * (self.b + 1):(start + size) * (self.b + 1)].reshape(
+            (self.b + 1, size), order="F")
+
+    def _on_both_blocks(self, fn, parallel):
+        """``fn(k, *block)`` for both blocks k: block 2 on the worker thread
+        while this thread does block 1, or after it when not ``parallel``.
+        Returns both results once both are done."""
+        if not parallel:
+            return fn(0, *self.blocks[0]), fn(1, *self.blocks[1])
+        pending = _WORKER.submit(fn, 1, *self.blocks[1])
         try:
-            first = fn(*self.blocks[0])
+            first = fn(0, *self.blocks[0])
         finally:
             second = pending.result()
         return first, second
@@ -195,40 +276,46 @@ class BandSplit:
                      for _, _, tail, offset in self.blocks]
         return couplings, flat[self.sep_offset:].reshape((b, b), order="F")
 
-    def factor(self, flat):
-        """Factor the gathered system in place.  Returns None, or the
-        block-layout index of the first pivot that is not positive."""
+    def factor(self, flat, fill, parallel):
+        """Factor the system in ``flat`` in place, each block on its own
+        thread: ``fill(k, band)`` first writes block k's half-band
+        (``self.band``); the coupling and separator blocks must be written
+        already.  Returns None, or the block-layout index of the first pivot
+        that is not positive."""
         lapack, b = _ROUTINES[flat.dtype], self.b
+        separator = self._parts(flat)[1]
+        term = np.zeros_like(separator)  # W2^H W2, apart, so S sums in one order
 
-        def half(start, size, tail, coupling):
+        def half(k, start, size, tail, coupling):
+            fill(k, self.band(flat, k))
             info = lapack.pbtrf(flat, start * (b + 1), size, b)
             if info:
                 return start + info - 1
             if tail:
                 lapack.tbtrs(b"N", flat, (start + size - tail) * (b + 1), tail, b,
                              flat, coupling, b, tail)
+                if k == 0:  # H_ss - W1^H W1, in place
+                    lapack.herk(-1.0, flat, coupling, tail, b, 1.0, flat, self.sep_offset)
+                else:
+                    lapack.herk(1.0, flat, coupling, tail, b, 0.0, term, 0)
             return None
 
-        pivots = self._on_both_blocks(half)
+        pivots = self._on_both_blocks(half, parallel)
         if pivots != (None, None) or b == 0:
             return next((p for p in pivots if p is not None), None)
-        couplings, separator = self._parts(flat)
-        update = sla.blas.zherk if flat.dtype.kind == "c" else sla.blas.dsyrk
-        for W in couplings:  # S = H_ss - W1^H W1 - W2^H W2, lower triangle, in place
-            if W.size:
-                update(-1.0, W, beta=1.0, c=separator, trans=2, lower=1, overwrite_c=1)
+        separator -= term  # S = H_ss - W1^H W1 - W2^H W2, lower triangle
         potrf = sla.lapack.zpotrf if flat.dtype.kind == "c" else sla.lapack.dpotrf
         info = potrf(separator, lower=1, overwrite_a=1, clean=0)[1]
         return self.sep + info - 1 if info else None
 
-    def solve(self, flat, work):
+    def solve(self, flat, work, parallel):
         """Overwrite ``work`` (block layout, Fortran order) with the solution
         of the factored system."""
         lapack, b, n = _ROUTINES[flat.dtype], self.b, self.n
 
         def sweep(trans):  # op(L_k)^{-1} on both blocks at once
-            self._on_both_blocks(lambda start, size, *_: lapack.tbtrs(
-                trans, flat, start * (b + 1), size, b, work, start, work.shape[1], n))
+            self._on_both_blocks(lambda k, start, size, *_: lapack.tbtrs(
+                trans, flat, start * (b + 1), size, b, work, start, work.shape[1], n), parallel)
 
         sweep(b"N")
         if b:
@@ -243,44 +330,32 @@ class BandSplit:
         sweep(b"C")
 
 
-class BandLayout:
-    """Symbolic half of a banded Cholesky for one ordering (perm[new] = old):
-    the inverse permutation and, for the first sparsity pattern it is used
-    on, the band split and the flat position of each entry of ``H.data``
-    that the factor reads.  ``np.asarray(layout)`` is the ordering."""
+def _parallel():
+    """Whether the process may run on more than one CPU, one for the worker."""
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
+    return len(cpus) > 1
 
-    def __init__(self, n, ordering=None):
-        self.n = n
-        self.order = np.arange(n) if ordering is None else np.asarray(ordering, dtype=np.int64)
-        if self.order.size != n:
-            raise ShapeError("ordering length does not match matrix dimension")
-        self.inv = np.argsort(self.order)
-        self._pattern = None  # (format, indptr, indices, positions) once bound
 
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.order, dtype=dtype)
-
-    def positions(self, H):
-        """(split, src, dst) with ``flat[dst] = H.data[src]`` for a csr or
-        csc ``H``, ``split`` its ``BandSplit``: the stored ones when ``H``
-        has the bound pattern, else computed for ``H`` (and stored if none
-        is bound)."""
-        pattern = self._pattern
-        if (pattern is not None and H.format == pattern[0]
-                and np.array_equal(H.indptr, pattern[1]) and np.array_equal(H.indices, pattern[2])):
-            return pattern[3]
-        major = np.repeat(np.arange(self.n), np.diff(H.indptr))
-        rows, cols = (major, H.indices) if H.format == "csr" else (H.indices, major)
-        rows, cols = self.inv[rows], self.inv[cols]
-        split = BandSplit(self.n, int(np.max(np.abs(rows - cols))) if rows.size else 0)
-        block = np.empty(self.n, dtype=np.int64)
-        block[split.band_index()] = np.arange(self.n)
-        src, dst = split.positions(block[rows], block[cols])
-        index = np.int32 if max(H.nnz, split.size) < 2**31 else np.int64
-        positions = (split, src.astype(index), dst.astype(index))
-        if pattern is None:
-            self._pattern = (H.format, H.indptr.copy(), H.indices.copy(), positions)
-        return positions
+@functools.lru_cache(maxsize=4)
+def _dia_plan(n, offsets):
+    """The ``BandSplit`` of an n x n Hermitian ``dia_matrix`` in band order
+    with these ``offsets`` (a tuple), the band index of each block-layout
+    unknown, (d, data row of diagonal -d, of +d) for each band row d with
+    both stored, and (src, dst) with ``flat[dst] = data.flat[src]`` for the
+    coupling and separator entries."""
+    offsets = np.asarray(offsets)
+    row = {int(o): k for k, o in enumerate(offsets)}
+    split = BandSplit(n, int(np.max(np.abs(offsets))))
+    order = split.band_index()
+    rows = [(d, row[-d], row[d]) for d in range(split.b + 1) if -d in row and d in row]
+    k, j = np.divmod(np.arange(offsets.size * n), n)  # every slot (k, j) of data
+    i = j - offsets[k]
+    slots = np.flatnonzero((i >= 0) & (i < n))
+    block = np.empty(n, dtype=np.int64)
+    block[order] = np.arange(n)
+    src, dst = split.positions(block[i[slots]], block[j[slots]])
+    coupled = dst >= split.blocks[0][3]
+    return split, order, rows, slots[src[coupled]], dst[coupled]
 
 
 class SparseFactorization:
@@ -288,15 +363,24 @@ class SparseFactorization:
     number of right-hand sides: a split banded Cholesky of a Hermitian
     positive definite matrix, or SuperLU factors of any invertible one."""
 
-    def __init__(self, backend, n, dtype, *, split=None, factor=None, order=None, lu=None):
+    def __init__(self, backend, n, dtype, *, split=None, factor=None, order=None, lu=None,
+                 parallel=True):
         self._backend = backend
         self.n = n
         self._dtype = dtype
         self._split = split
         self._factor = factor  # the split's flat buffer
-        self._order = order  # matrix index of each block-layout unknown
+        self._order = np.arange(n) if order is None else order  # matrix index of each unknown
         self._lu = lu
         self._lock = threading.Lock() if lu is not None else None
+        self._parallel = parallel
+
+    def renumbered(self, perm):
+        """The same factors, for the matrix M with M[perm][:, perm] the one
+        factored: ``solve`` then takes and returns vectors in M's order."""
+        other = copy.copy(self)
+        other._order = np.asarray(perm)[self._order]
+        return other
 
     def solve(self, rhs):
         rhs = np.asarray(rhs)
@@ -308,13 +392,13 @@ class SparseFactorization:
         if re_im:
             cols = np.concatenate((cols.real, cols.imag), axis=1)
         if self._backend == "banded":
-            work = np.asarray(cols[self._order], dtype=self._dtype, order="F")
-            self._split.solve(self._factor, work)
-            x = np.empty_like(work)
-            x[self._order] = work
+            y = np.asarray(cols[self._order], dtype=self._dtype, order="F")
+            self._split.solve(self._factor, y, self._parallel)
         else:
             with self._lock:  # SuperLU casts the columns to its dtype in a Fortran-order copy
-                x = self._lu.solve(cols)
+                y = self._lu.solve(cols[self._order])
+        x = np.empty_like(y)
+        x[self._order] = y
         if re_im:
             x = x[:, :k] + 1j * x[:, k:]
         return x.reshape(rhs.shape)
@@ -324,32 +408,59 @@ def factorize(H, ordering=None):
     """Factor a sparse Hermitian (numerically positive definite) matrix.
 
     ``ordering`` optionally supplies a bandwidth-reducing permutation
-    (perm[new] = old), which the banded factor uses as given, or a
-    ``BandLayout`` holding one.  Falls back to sparse LU when banded
-    storage would be too large.  A breakdown's ``pivot_index`` is the
-    index in H of the first pivot that is not positive.
+    (perm[new] = old), which the banded factor uses as given; without one
+    H's own order is the band order.  H is read as a ``dia_matrix``
+    (``DiagonalMap``, unless it is one already in band order), and each
+    half-band is written from its diagonals by the thread that factors it.
+    Falls back to sparse LU when banded storage would be too
+    large.  A breakdown's ``pivot_index`` is the index in H of the first
+    pivot that is not positive.
     """
-    H = H if sp.issparse(H) and H.format == "csc" else sp.csr_matrix(H)
     if H.shape[0] != H.shape[1]:
         raise ShapeError(f"matrix must be square, got {H.shape}")
     n = H.shape[0]
-    layout = ordering
-    if not (isinstance(layout, BandLayout) and layout.n == n):
-        layout = BandLayout(n, ordering)
-    split, src, dst = layout.positions(H)
-
     dtype = np.dtype(complex if np.iscomplexobj(H.data) else float)
-    if split.size * dtype.itemsize <= _MAX_BAND_BYTES:
-        flat = np.zeros(split.size, dtype=dtype)  # a fresh buffer per factorization
-        flat[dst] = H.data[src]
-        order = layout.order[split.band_index()]
-        pivot = split.factor(flat)
-        if pivot is not None:
-            raise FactorizationError(f"banded Cholesky breakdown at pivot {order[pivot]}",
-                                     pivot_index=int(order[pivot]))
-        return SparseFactorization("banded", n, dtype, split=split, factor=flat, order=order)
+    system = _band_system(H, ordering, dtype)
+    if system is None:
+        return SparseFactorization("splu", n, dtype, lu=_splu(H, dtype, 0.01))
+    split, order, flat, fill = system
+    parallel = _parallel()
+    pivot = split.factor(flat, fill, parallel)
+    if pivot is not None:
+        raise FactorizationError(f"banded Cholesky breakdown at pivot {order[pivot]}",
+                                 pivot_index=int(order[pivot]))
+    return SparseFactorization("banded", n, dtype, split=split, factor=flat, order=order,
+                               parallel=parallel)
 
-    return SparseFactorization("splu", n, dtype, lu=_splu(H, dtype, 0.01))
+
+def _band_system(H, ordering, dtype):
+    """(split, order, flat, fill) for the banded factor of H: the
+    ``BandSplit``, the index in H of each block-layout unknown, a fresh
+    buffer holding the coupling and separator entries, and
+    ``fill(k, band)``, which writes block k's half-band into it.  None when
+    the buffer would be larger than ``_MAX_BAND_BYTES``."""
+    n = H.shape[0]
+    perm = np.arange(n) if ordering is None else np.asarray(ordering, dtype=np.int64)
+    if perm.size != n:
+        raise ShapeError("ordering length does not match matrix dimension")
+    read = None if ordering is None and H.format == "dia" and H.data.shape[1] == n else DiagonalMap(H, perm)
+    offsets = tuple(int(o) for o in (H if read is None else read).offsets)
+    if BandSplit(n, max(map(abs, offsets), default=0)).size * dtype.itemsize > _MAX_BAND_BYTES:
+        return None
+    data = np.ascontiguousarray((H if read is None else read(H)).data)
+    split, band_index, rows, src, dst = _dia_plan(n, offsets)
+    flat = np.empty(split.size, dtype=dtype)
+    flat[split.blocks[0][3]:] = 0
+    flat[dst] = data.ravel()[src]
+
+    def fill(k, band):  # block 2 is stored reversed: its rows are the upper diagonals
+        ctypes.memset(band.ctypes.data, 0, band.nbytes)  # half the time of numpy's fill
+        size = band.shape[1]
+        for d, lower, upper in rows:
+            if d < size:
+                band[d, :size - d] = data[lower, :size - d] if k == 0 else data[upper, n - size + d:][::-1]
+
+    return split, perm[band_index], flat, fill
 
 
 def _splu(M, dtype, diag_pivot_thresh):

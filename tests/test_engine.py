@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from iwri.errors import ParameterError, ShapeError, SolverError
 from iwri.grid import Bounds, Grid2D, VelocityModel, velocity_to_slowness_sq
@@ -324,33 +325,93 @@ def test_inner_refine_reduces_to_cycle_and_counts_solves():
     assert s3.pde_solve_count == 3 * 2  # three times faster growth per cycle
 
 
-def test_shared_layouts_factor_bit_equal_to_fresh(rng):
-    import scipy.sparse as sp
-
-    setup = box_anomaly_setup()
+def _box_problem(**kwargs):
+    setup = box_anomaly_setup(**kwargs)
     geom = setup.geometry
     dataset = FrequencyDataset(frequencies=setup.frequencies, geometry=geom,
-                               data=[np.zeros((geom.n_receivers, 1))] * 3, noise_level=[1.0] * 3)
+                               data=[np.zeros((geom.n_receivers, geom.n_sources))] * 3,
+                               noise_level=[1.0] * 3)
     problem = InversionProblem(setup.true_model.grid, PmlConfig(), StencilScheme(), dataset,
                                bounds=setup.bounds)
+    return setup, problem
+
+
+def test_shared_layouts_factor_bit_equal_to_fresh(rng):
+    # the maps one problem shares with the next read A and fill N as fresh ones do
+    setup, problem = _box_problem()
     m = velocity_to_slowness_sq(setup.true_model).values
-    n_pad, n = problem.n_pad, problem.grid.n
-    systems = [(problem.pad_ordering, assemble_normal_matrix(k.assemble(m), problem.P, 0.3))
-               for k in problem.kernels]
+    n_pad = problem.n_pad
+    pad, phys = problem.pad_ordering, problem.phys_ordering
+    systems = []  # (band order, system through the shared maps, through fresh ones)
+    for k in problem.kernels:
+        A = k.assemble(m)
+        shared, fresh = problem.band_operator(A), la.DiagonalMap(A, pad)(A)
+        assert np.array_equal(shared.data, fresh.data)
+        systems.append((pad, *(assemble_normal_matrix(M, problem.band_P, 0.3) for M in (shared, fresh))))
     for _ in range(2):  # model systems of two wavefield sets: one pattern, other values
-        normal = problem.model_normal.matrix(problem.kernels, rng.standard_normal((3, n_pad, 1))
-                                             + 1j * rng.standard_normal((3, n_pad, 1)))
-        systems.append((problem.phys_ordering, normal + sp.identity(n, format="csr")))
+        us = rng.standard_normal((3, n_pad, 1)) + 1j * rng.standard_normal((3, n_pad, 1))
+        systems.append((phys, *(engine._add_to_diagonal(plan.matrix(problem.kernels, us), 1.0)
+                                for plan in (problem.model_normal,
+                                             ModelNormalPlan(problem.kernels[0], phys)))))
     rhs = rng.standard_normal((n_pad, 2)) + 1j * rng.standard_normal((n_pad, 2))
-    bound = {}
-    for layout, H in systems:
-        shared = factorize(H, ordering=layout)
-        # the first system of each ordering binds its layout, the others reuse it
-        assert layout.positions(H) is bound.setdefault(id(layout), layout.positions(H))
-        fresh = factorize(H, ordering=np.asarray(layout))
-        assert np.array_equal(shared._factor, fresh._factor)
-        b = rhs if np.iscomplexobj(H.data) else rhs.real[:n]
-        assert np.array_equal(shared.solve(b), fresh.solve(b))
+    for order, shared, fresh in systems:
+        first, second = factorize(shared).renumbered(order), factorize(fresh).renumbered(order)
+        assert np.array_equal(first._factor, second._factor)
+        b = rhs if np.iscomplexobj(shared.data) else rhs.real[:problem.grid.n]
+        assert np.array_equal(first.solve(b), second.solve(b))
+    # the next problem on the same grid, PML and scheme builds none of them again
+    again = _box_problem()[1]
+    for name in ("pad_ordering", "phys_ordering", "band_operator", "model_normal"):
+        assert getattr(again, name) is getattr(problem, name)
+    assert again.kernels[0].stencil is problem.kernels[0].stencil
+
+
+def _gathered(H, ordering, dtype):
+    """The split buffer of the CSR matrix H, gathered entry by entry through
+    the band positions of its pattern."""
+    n, inv = H.shape[0], np.argsort(ordering)
+    rows, cols = inv[np.repeat(np.arange(n), np.diff(H.indptr))], inv[H.indices]
+    split = la.BandSplit(n, int(np.max(np.abs(rows - cols))))
+    block = np.empty(n, dtype=np.int64)
+    block[split.band_index()] = np.arange(n)
+    src, dst = split.positions(block[rows], block[cols])
+    flat = np.zeros(split.size, dtype=dtype)
+    flat[dst] = H.data[src]
+    return flat
+
+
+def _filled(H, dtype):
+    """The split buffer the diagonal fill writes, both half-bands included."""
+    split, _, flat, fill = la._band_system(H, None, np.dtype(dtype))
+    for k in (0, 1):
+        fill(k, split.band(flat, k))
+    return flat
+
+
+def test_diagonal_fill_equals_gathered_csr(rng):
+    # H = P^H P + lam A^H A at 2.5, 5 and 7 Hz on the box for two models, and
+    # N + gamma I, both written from their diagonals, against the buffers
+    # gathered from the CSR matrices of the sparse products
+    setup, problem = _box_problem()
+    pad, phys = problem.pad_ordering, problem.phys_ordering
+    pairs = []
+    for model in (setup.initial_model, setup.true_model):
+        m = velocity_to_slowness_sq(model).values
+        for k, lam in zip(problem.kernels, (0.3, 2.0, 40.0)):
+            A, P = k.assemble(m), problem.P
+            csr = (P.conjugate().T @ P + lam * (A.conjugate().T @ A)).tocsr()
+            new = assemble_normal_matrix(problem.band_operator(A), problem.band_P, lam)
+            pairs.append((_filled(new, complex), _gathered(csr, pad, complex)))
+    natural = ModelNormalPlan(problem.kernels[0], np.arange(problem.grid.n))
+    for _ in range(2):
+        us = rng.standard_normal((3, problem.n_pad, 1)) + 1j * rng.standard_normal((3, problem.n_pad, 1))
+        gamma = 0.1 * float(np.mean(natural.matrix(problem.kernels, us).diagonal()))
+        csr = natural.matrix(problem.kernels, us).tocsr() + gamma * sp.identity(problem.grid.n)
+        new = engine._add_to_diagonal(problem.model_normal.matrix(problem.kernels, us), gamma)
+        pairs.append((_filled(new, float), _gathered(csr, phys, float)))
+    for new, old in pairs:
+        assert np.array_equal(np.flatnonzero(new), np.flatnonzero(old))
+        assert np.max(np.abs(new - old)) <= 1e-15 * np.max(np.abs(old))
 
 
 def test_model_normal_plan_matches_product_loop(rng):
@@ -373,8 +434,9 @@ def test_model_normal_plan_matches_product_loop(rng):
             Lr = kern.scaled_mass(u[:, s]) @ R
             contrib = Lr.conjugate().T @ Lr
             expected = contrib if expected is None else expected + contrib
-    expected = expected.real.tocsr()
-    normal = problem.model_normal.matrix(problem.kernels, us)
+    perm = problem.phys_ordering  # the plan fills N in the band order
+    expected = expected.real.tocsr()[perm][:, perm]
+    normal = problem.model_normal.matrix(problem.kernels, us).tocsr()
     assert normal.dtype == np.float64
     assert abs(normal - expected).max() <= 1e-14 * abs(expected).max()
     assert normal.nnz == expected.nnz
@@ -392,9 +454,10 @@ def test_model_normal_plan_same_from_every_kernel(rng):
                                bounds=setup.bounds)
     shape = (3, problem.n_pad, geom.n_sources)
     us = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    first, *others = [ModelNormalPlan(k).matrix(problem.kernels, us) for k in problem.kernels]
+    plans = [ModelNormalPlan(k, problem.phys_ordering) for k in problem.kernels]
+    first, *others = [plan.matrix(problem.kernels, us) for plan in plans]
     for normal in others:
-        for part in ("data", "indices", "indptr"):
+        for part in ("data", "offsets"):
             assert np.array_equal(getattr(normal, part), getattr(first, part))
 
 

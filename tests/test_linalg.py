@@ -45,7 +45,7 @@ def test_normal_matrix_hermitian(rng):
     A = random_sparse(rng, 25, 25)
     P = random_sparse(rng, 4, 25)
     H = assemble_normal_matrix(A, P, 2.5)
-    assert abs(H - H.conjugate().T).max() < 1e-12
+    assert np.max(np.abs((H - H.conjugate().T).toarray())) < 1e-12
 
 
 def test_normal_matrix_shape_errors(rng):
@@ -202,8 +202,9 @@ def test_split_factorization_solves_from_many_threads(rng):
     results = [[] for _ in rhs]
 
     def work(i):
-        for _ in range(20):
-            results[i].append(fact.solve(rhs[i]))
+        for j in range(20):  # every other round factors anew: fills share the worker too
+            again = fact if j % 2 else factorize(H, ordering=ordering)
+            results[i].append(again.solve(rhs[i]))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -245,25 +246,90 @@ def _spd_with_pairs(n, pairs):
 
 
 def test_layout_detects_another_pattern(rng):
+    # the diagonal map of a matrix binds its pattern, and reads any other right
     n = 12
     order = np.random.default_rng(3).permutation(n)
     first = _spd_with_pairs(n, [(0, 1), (2, 3), (5, 9)])
-    layout = la.BandLayout(n, order)
-    factorize(first, ordering=layout)
-    bound = layout.positions(first)
-    assert layout.positions(first.copy()) is bound
+    read = la.DiagonalMap(first, order)
+    bound = read.indices
     b = rng.standard_normal(n)
     others = [_spd_with_pairs(n, [(0, 3), (1, 2), (5, 9)]),  # same nnz and row counts
               _spd_with_pairs(n, [(0, 1), (2, 3), (5, 9), (4, 11)]),  # more entries
               first.tocsc()]  # same matrix, other format
-    for H in others:
-        assert layout.positions(H) is not bound
-        fact = factorize(H, ordering=layout)
+    for H in [first, first.copy()] + others:
+        band = read(H)
+        assert band.format == "dia"
+        assert np.array_equal(band.toarray(), H.toarray()[np.ix_(order, order)])
+        fact = factorize(band).renumbered(order)
         assert np.linalg.norm(H @ fact.solve(b) - b) / np.linalg.norm(b) < 1e-12
         assert np.array_equal(fact._factor, factorize(H, ordering=order)._factor)
-    assert layout.positions(first) is bound  # still bound to the first pattern
+    assert read.indices is bound  # still bound to the first pattern
     with pytest.raises(ShapeError):
-        factorize(_spd_with_pairs(n + 1, []), ordering=layout)
+        factorize(_spd_with_pairs(n + 1, []), ordering=order)
+
+
+def test_factorize_sums_duplicate_entries(rng):
+    # a valid non-canonical matrix: each diagonal entry 4 stored twice, as 1 and 3
+    n = 6
+    H = _spd_with_pairs(n, [(i, i + 1) for i in range(n - 1)])
+    data, indices, indptr = [], [], [0]
+    for i in range(n):
+        for j, v in zip(H.indices[H.indptr[i]:H.indptr[i + 1]], H.data[H.indptr[i]:H.indptr[i + 1]]):
+            indices.append(j)
+            data.append(1.0 if i == j else v)
+        indices.append(i)
+        data.append(3.0)
+        indptr.append(len(indices))
+    b = rng.standard_normal(n)
+    for fmt in (sp.csr_matrix, sp.csc_matrix):  # H is symmetric: one set of arrays for both
+        twice = fmt((np.array(data), np.array(indices), np.array(indptr)), shape=(n, n))
+        assert not twice.has_canonical_format
+        assert np.array_equal(twice.toarray(), H.toarray())
+        x = factorize(twice).solve(b)
+        assert np.linalg.norm(H @ x - b) <= 1e-12 * np.linalg.norm(b)
+        # the caller's matrix keeps its duplicates
+        assert twice.nnz == H.nnz + n and np.array_equal(twice.data, data)
+
+
+@pytest.mark.parametrize("complex_values", [True, False])
+def test_dia_band_factor_matches_dense_solve(rng, complex_values):
+    # a dia_matrix without an ordering is factored in its own (band) order
+    n, b = 61, 7
+    H = _random_band(rng, n, b, complex_values, np.arange(n))
+    band = sp.dia_matrix(H)
+    fact = factorize(band)
+    assert fact._backend == "banded" and fact._split.b == b
+    assert np.array_equal(fact._factor, factorize(H)._factor)
+    rhs = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    x = fact.solve(rhs)
+    assert np.linalg.norm(x - np.linalg.solve(H.toarray(), rhs)) <= 1e-12 * np.linalg.norm(x)
+    perm = rng.permutation(n)  # the same factors for the matrix whose band order perm gives
+    M = sp.csr_matrix(H.toarray()[np.ix_(np.argsort(perm), np.argsort(perm))])
+    y = fact.renumbered(perm).solve(rhs)
+    assert np.linalg.norm(M @ y - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+
+def test_one_cpu_runs_no_worker_task(rng, monkeypatch):
+    n, b = 300, 11
+    ordering = rng.permutation(n)
+    H = _random_band(rng, n, b, True, ordering)
+    band = sp.dia_matrix(H.toarray()[np.ix_(ordering, ordering)])
+    rhs = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    monkeypatch.setattr(la.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    two = [factorize(H, ordering=ordering), factorize(band)]
+    expected = [f.solve(rhs) for f in two]
+
+    class NoWorker:
+        def submit(self, *args, **kwargs):
+            raise AssertionError("a task went to the band worker")
+
+    monkeypatch.setattr(la, "_WORKER", NoWorker())
+    monkeypatch.setattr(la.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    one = [factorize(H, ordering=ordering), factorize(band)]
+    for f1, f2, x in zip(one, two, expected):
+        assert not f1._parallel and f2._parallel
+        assert np.array_equal(f1._factor, f2._factor)
+        assert np.array_equal(f1.solve(rhs), x)
 
 
 def test_power_iteration_identity():
