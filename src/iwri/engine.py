@@ -29,7 +29,7 @@ from .errors import ParameterError, ShapeError, SolverError
 from .grid import velocity_to_slowness_sq
 from .helmholtz import build_kernel, forward_solve, resolve_pml
 from .acquisition import build_observation, source_matrix
-from .linalg import DiagonalMap, FactorizationError, assemble_normal_matrix, factorize
+from .linalg import DiagonalMap, FactorizationError, _gram, assemble_normal_matrix, factorize
 from .util import axis_minor_ordering, stacked_norm
 
 
@@ -118,46 +118,36 @@ class ModelNormalPlan:
     the band order ``ordering`` (perm[new] = old).
 
     Every kernel's mass matrix is S_k = B diag(c_k), with B the real
-    mass-spreading stencil and c_k the PML damping, so with w = c_k u each
-    entry of L_k(u)^H L_k(u) is omega_k^4 (B^T B)_ij Re(conj(w_i) w_j).
-    B^T B lies on a few diagonals: per diagonal offset o, the source-summed
-    products Re(conj(w_i) w_{i+o}) come from two shifted slices of w.  The
-    diagonals of N and the slot in them of every B^T B entry are computed
-    once, from the kernel's B (``kernel.stencil``, held exactly): every
-    kernel on the same grid, PML layers and scheme holds the same B, so the
-    plan built from any of them is the same.  Each fill is one bincount per
-    frequency."""
+    mass-spreading stencil and c_k the PML damping, so L_k(u_s) =
+    omega_k^2 B diag(c_k u_s), and N is Re sum_k omega_k^4 times the Gram
+    matrix of the B diag(c_k u_s) (``linalg._gram``), folded through R.
+    The fold takes each entry of B^T B's pattern to its slot in N's band
+    diagonals; it is built once, from the kernel's B (``kernel.stencil``,
+    held exactly): every kernel on the same grid, PML layers and scheme
+    holds the same B, so the plan built from any of them is the same.
+    Each fill is one Gram product per frequency and one bincount."""
 
     def __init__(self, kernel, ordering):
-        n = kernel.grid.n
-        G = (kernel.stencil.T @ kernel.stencil).tocoo()
-        n_pad = G.shape[0]
-        phys = kernel.topology.phys_of_pad
-        inv = np.argsort(ordering)
-        rows, cols = inv[phys[G.row]], inv[phys[G.col]]
+        n, B = kernel.grid.n, kernel.stencil
+        self.stencil = DiagonalMap(B)(B)  # B's diagonals on the padded grid
+        lags, gram = _gram(self.stencil.data[None], self.stencil.offsets)  # B^T B
+        self.source = np.flatnonzero(gram)
+        k, cols = np.divmod(self.source, B.shape[0])
+        phys, inv = kernel.topology.phys_of_pad, np.argsort(ordering)
+        rows, cols = inv[phys[cols - lags[k]]], inv[phys[cols]]
         self.offsets, k = np.unique(cols - rows, return_inverse=True)
-        slot = k * n + cols  # N[perm][:, perm] in dia_matrix layout
+        self.slot = k * n + cols  # N[perm][:, perm] in dia_matrix layout
         self.shape = (n, n)
-        offsets = G.col - G.row
-        present = np.flatnonzero(np.bincount(offsets - offsets.min())) + offsets.min()
-        groups = [np.flatnonzero(offsets == o) for o in present]
-        by_offset = np.concatenate(groups)
-        self.coef, self.slot = G.data[by_offset], slot[by_offset]
-        # (offset, first row, end row, rows holding an entry minus the first row)
-        self.diagonals = [(o, max(0, -o), n_pad - max(0, o), G.row[g] - max(0, -o))
-                          for o, g in zip(present, groups)]
 
     def matrix(self, kernels, wavefields):
         """N[perm][:, perm] as a ``dia_matrix`` for per-frequency wavefields
         of shape (n_pad, n_sources)."""
-        data = np.zeros(self.offsets.size * self.shape[0])
+        gram = 0.0
         for kern, u in zip(kernels, wavefields):
-            w = kern.damping[:, None] * u
-            wc = w.conj()
-            q = np.concatenate([np.einsum("is,is->i", wc[lo:hi], w[lo + o:hi + o]).real[rows]
-                                for o, lo, hi, rows in self.diagonals])
-            data += np.bincount(self.slot, weights=kern.omega**4 * self.coef * q,
-                                minlength=data.size)
+            x = self.stencil.data * (kern.damping[:, None] * u).T[:, None]  # x[s] holds B diag(c u_s)
+            gram = gram + kern.omega**4 * _gram(x, self.stencil.offsets)[1].real
+        data = np.bincount(self.slot, weights=gram.ravel()[self.source],
+                           minlength=self.offsets.size * self.shape[0])
         return sp.dia_matrix((data.reshape(self.offsets.size, -1), self.offsets), shape=self.shape)
 
 
@@ -326,18 +316,30 @@ def estimate_model(normal, rhs, lo, hi, box, *, ordering=None, mode="bregman"):
         raise ParameterError(f"unknown bound mode {mode!r}")
 
     try:
-        m_raw = factorize(system).renumbered(perm).solve(full_rhs)
+        m_raw = _factorize_in(system, perm).solve(full_rhs)
     except FactorizationError:
         warn = True
         shift = 1e-12 * (diag_mean if diag_mean > 0 else 1.0)
         logging.getLogger(__name__).warning("singular model normal matrix, applying diagonal shift")
-        m_raw = factorize(_add_to_diagonal(system, shift)).renumbered(perm).solve(full_rhs)
+        m_raw = _factorize_in(_add_to_diagonal(system, shift), perm).solve(full_rhs)
 
     if mode == "bregman":
         box.p = np.clip(m_raw + box.q, lo, hi)
         box.q = box.q + m_raw - box.p
         return box.p.copy(), warn
     return np.clip(m_raw, lo, hi), warn
+
+
+def _factorize_in(system, perm):
+    """``factorize(system).renumbered(perm)`` for system = M[perm][:, perm]:
+    a breakdown names its pivot by its index in M."""
+    try:
+        return factorize(system).renumbered(perm)
+    except FactorizationError as exc:
+        if exc.pivot_index is None:
+            raise
+        pivot = int(perm[exc.pivot_index])
+        raise FactorizationError(f"banded Cholesky breakdown at pivot {pivot}", pivot_index=pivot) from exc
 
 
 def _add_to_diagonal(M, value):
@@ -362,7 +364,7 @@ def _wavefield_phase(problem, state, params, i):
     duals = state.duals
     try:  # H in band order, straight from the diagonals of A
         H = assemble_normal_matrix(problem.band_operator(A), problem.band_P, lam)
-        fact = factorize(H).renumbered(problem.pad_ordering)
+        fact = _factorize_in(H, problem.pad_ordering)
     except FactorizationError as exc:
         raise SolverError(f"wavefield normal-matrix factorization failed: {exc}",
                           frequency=problem.frequencies[i], iteration=state.k) from exc

@@ -1,6 +1,6 @@
-"""Sparse complex linear algebra: normal-matrix assembly, one
-factorization type with repeated multi-right-hand-side solves, and the
-largest eigenvalue of the data-resolution operator.
+"""Sparse complex linear algebra: normal-matrix assembly from one Gram
+kernel, one factorization type with repeated multi-right-hand-side
+solves, and the largest eigenvalue of the data-resolution operator.
 
 ``factorize`` factors a Hermitian matrix by banded Cholesky after a
 bandwidth-reducing reordering.  The band is split into two half-bands and
@@ -8,7 +8,8 @@ a separator as wide as the band (the two-block partition of SPIKE:
 Polizzi and Sameh 2006, Parallel Computing 32(2)); LAPACK factors and
 solves the two half-bands at once, one on the calling thread and one on a
 single worker thread (or both on the calling thread on one CPU), each
-thread writing its half-band from the matrix's diagonals first.  When the
+thread writing its half-band and coupling block from the matrix's
+diagonals first.  When the
 band would be too wide to store it falls back to a general sparse LU
 (SuperLU).  ``lu_factorize`` takes that
 SuperLU path directly for a general complex matrix, such as the
@@ -19,7 +20,6 @@ immutable factorization.
 
 import copy
 import ctypes
-import functools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -55,10 +55,8 @@ os.register_at_fork(after_in_child=_start_worker)
 
 def assemble_normal_matrix(A, P, lam):
     """H = P^H P + lam * A^H A as a ``dia_matrix`` in the index order of A
-    and P, Hermitian positive definite for lam > 0 and invertible A.  With
-    a_k[j] = A[j - k, j] the diagonals of A (a ``dia_matrix`` A is read as
-    stored, zero outside A), (A^H A)[j + d, j] is the sum over k of
-    conj(a_{k+d}[j + d]) a_k[j]: a sum of products of shifted slices."""
+    and P, Hermitian positive definite for lam > 0 and invertible A (a
+    ``dia_matrix`` A is read as stored, zero outside A)."""
     if A.shape[0] != A.shape[1]:
         raise ShapeError(f"A must be square, got {A.shape}")
     if P.shape[1] != A.shape[0]:
@@ -67,28 +65,40 @@ def assemble_normal_matrix(A, P, lam):
         raise ParameterError(f"penalty weight must be positive, got {lam}")
     n, P = A.shape[0], sp.csr_matrix(P)
     A = A if A.format == "dia" and A.data.shape[1] == n else DiagonalMap(A)(A)
-    a, row = A.data, {int(k): i for i, k in enumerate(A.offsets)}
-    lags = np.unique(np.subtract.outer(A.offsets, A.offsets))
-    lags = lags[(lags >= 0) & (lags < n)]
-    m = lags.size  # data rows m - 1 - i and m - 1 + i hold the diagonals -lags[i] and +lags[i]
-    data = np.zeros((2 * m - 1, n), dtype=np.result_type(a, P.dtype, float))
-    ac, term = a.conj(), np.empty(n, dtype=data.dtype)
-    for i, d in enumerate(lags):
-        lower = data[m - 1 - i, :n - d]
-        for k, r in row.items():
-            if k + d in row:
-                np.add(lower, np.multiply(ac[row[k + d], d:], a[r, :n - d], out=term[:n - d]), out=lower)
-    data[:m] *= lam
+    offsets, data = _gram(A.data[None], A.offsets)
+    data *= lam
     if np.all(np.diff(P.indptr) <= 1):  # P^H P lies on the diagonal
-        data[m - 1] += np.bincount(P.indices, weights=np.abs(P.data) ** 2, minlength=n)
-        P = None
-    for i, d in enumerate(lags[1:], 1):
-        np.conjugate(data[m - 1 - i, :n - d], out=data[m - 1 + i, d:])
-    H = sp.dia_matrix((data, np.concatenate((-lags[::-1], lags[1:]))), shape=(n, n))
-    if P is None:
-        return H
+        data[offsets.size // 2] += np.bincount(P.indices, weights=np.abs(P.data) ** 2, minlength=n)
+        return sp.dia_matrix((data, offsets), shape=(n, n))
+    H = sp.dia_matrix((data, offsets), shape=(n, n))
     H = H + P.conjugate().T @ P  # P^H P off the diagonal: a sparse sum
     return DiagonalMap(H)(H)
+
+
+def _gram(x, offsets):
+    """The Gram matrix G = sum_s X_s^H X_s of n x n matrices X_s as
+    ``dia_matrix`` parts (offsets, data), from their diagonals x[s, k, j] =
+    X_s[j - offsets[k], j].  With x_k the diagonal at offset k,
+    G[j + d, j] is the sum over s and k of conj(x_{k+d}[j + d]) x_k[j]: a
+    sum of products of shifted slices.  G holds every difference of two
+    offsets below n in size, the upper diagonals conjugate to the lower."""
+    n = x.shape[-1]
+    row = {int(k): i for i, k in enumerate(offsets)}
+    lags = np.unique(np.subtract.outer(offsets, offsets))
+    lags = lags[(lags >= 0) & (lags < n)]
+    m = lags.size  # data rows m - 1 - i and m - 1 + i hold the diagonals -lags[i] and +lags[i]
+    data = np.zeros((2 * m - 1, n), dtype=np.result_type(x, float))
+    term = np.empty(n, dtype=data.dtype)
+    for xs in x:
+        xc = xs.conj()
+        for i, d in enumerate(lags):
+            lower = data[m - 1 - i, :n - d]
+            for k, r in row.items():
+                if k + d in row:
+                    np.add(lower, np.multiply(xc[row[k + d], d:], xs[r, :n - d], out=term[:n - d]), out=lower)
+    for i, d in enumerate(lags[1:], 1):
+        np.conjugate(data[m - 1 - i, :n - d], out=data[m - 1 + i, d:])
+    return np.concatenate((-lags[::-1], lags[1:])), data
 
 
 class DiagonalMap:
@@ -133,9 +143,10 @@ def _capsule_function(module, name, argtypes):
 
 
 class _BandRoutines:
-    """``?pbtrf`` and ``?tbtrs`` of one dtype on lower band storage, and
-    ``?herk`` (``dsyrk`` for real data).  Each operand is a Fortran-order
-    array and the flat offset its BLAS or LAPACK argument starts at."""
+    """``?pbtrf`` and ``?tbtrs`` of one dtype on lower band storage,
+    ``?trsm``, and ``?herk`` (``dsyrk`` for real data).  Each operand is a
+    Fortran-order array and the flat offset its BLAS or LAPACK argument
+    starts at."""
 
     def __init__(self, dtype, prefix):
         char, num, ptr = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int), ctypes.c_void_p
@@ -146,7 +157,10 @@ class _BandRoutines:
                                         (char, char, char, num, num, num, ptr, num, ptr, num, num))
         self._herk = _capsule_function(cython_blas, "zherk" if prefix == "z" else "dsyrk",
                                        (char, char, num, num, real, ptr, num, real, ptr, num))
+        self._trsm = _capsule_function(cython_blas, prefix + "trsm",
+                                       (char, char, char, char, num, num, ptr, ptr, num, ptr, num))
         self._adjoint = b"C" if prefix == "z" else b"T"
+        self._one = np.ones(1, dtype=dtype)  # ?trsm's alpha
 
     def _at(self, a, offset, extent):
         """Address of ``a``'s flat entry ``offset``, once the ``extent``
@@ -175,6 +189,14 @@ class _BandRoutines:
                     self._at(band, offset, (b + 1) * n), _ref(b + 1),
                     self._at(rhs, row, ld * (nrhs - 1) + n), _ref(ld), ctypes.byref(info))
         return _checked("tbtrs", info)
+
+    def trsm(self, a, offset, n, lda, b, b_offset, nrhs):
+        """Overwrite the n x nrhs block from ``b[b_offset]`` (leading
+        dimension n) with L^{-1} times it, L the lower triangle of the n x n
+        block from ``a[offset]`` (leading dimension ``lda``)."""
+        self._trsm(b"L", b"L", b"N", b"N", _ref(n), _ref(nrhs), ctypes.c_void_p(self._one.ctypes.data),
+                   self._at(a, offset, lda * (n - 1) + n), _ref(lda),
+                   self._at(b, b_offset, n * nrhs), _ref(n))
 
     def herk(self, alpha, a, offset, k, n, beta, c, c_offset):
         """Overwrite the lower triangle of the n x n block from ``c[c_offset]``
@@ -224,36 +246,40 @@ class BandSplit:
         self.blocks = tuple(blocks)  # (first unknown, unknowns, tail rows, coupling offset)
         self.sep_offset = coupling
         self.size = coupling + b * b
+        (_, s1, t1, c1), (_, s2, t2, c2) = blocks
+        # Part k (block 1, block 2, separator) as (entries first:first + count,
+        # then per block: base, rows, columns, row step, column step, i0, j0,
+        # lo, hi): flat[base + r * row step + c * column step] = H[i0 + r, j0 + c]
+        # (band order) on the diagonals lo <= c - r <= hi of a rows x columns
+        # block.  A half-band reads as a block with column step b; block 2's
+        # and its coupling rows run backwards.
+        self._writes = (
+            ((0, s1 * (b + 1), 0, s1, s1, 1, b, 0, 0, -b, 0),
+             (c1, t1 * b, c1, t1, b, 1, t1, s - t1, s, 1 - t1, b - 1)),
+            ((s * (b + 1), s2 * (b + 1), (s + s2 - 1) * (b + 1), s2, s2, -1, -b, s + b, s + b, 0, b),
+             (c2, t2 * b, c2 + t2 - 1, t2, b, -1, t2, s + b, s, 1 - t2, b - 1)),
+            ((coupling, b * b, coupling, b, b, 1, b, s, s, 1 - b, 0),))
 
     def band_index(self):
         """Band-order index of each block-layout unknown."""
         s, n, b = self.blocks[1][0], self.n, self.b
         return np.concatenate((np.arange(s), np.arange(n - 1, s + b - 1, -1), np.arange(s, s + b)))
 
-    def positions(self, rows, cols):
-        """(src, dst) with ``flat[dst] = values[src]`` for matrix entries at
-        block-layout ``rows`` and ``cols``: the lower triangle within the
-        blocks and the separator, and the block rows of the coupling."""
-        b, sep = self.b, self.sep
-        sep_row, sep_col = rows >= sep, cols >= sep
-        src = np.flatnonzero(np.where(sep_row == sep_col, rows >= cols, sep_col))
-        rows, cols = rows[src], cols[src]
-        dst = cols * b + rows  # half-band entry: (b + 1) * col + (row - col)
-        coupled = cols >= sep
-        r, c = rows[coupled], cols[coupled] - sep
-        d = self.sep_offset + c * b + r - sep
-        for start, size, tail, offset in self.blocks:
-            mine = (r >= start) & (r < start + size)
-            d[mine] = offset + c[mine] * tail + r[mine] - (start + size - tail)
-        dst[coupled] = d
-        return src, dst
-
-    def band(self, flat, k):
-        """Block k's half-band in LAPACK's lower band storage: a (b + 1) x
-        size Fortran-order view of ``flat``, row d holding entries (j + d, j)."""
-        start, size, _, _ = self.blocks[k]
-        return flat[start * (self.b + 1):(start + size) * (self.b + 1)].reshape(
-            (self.b + 1, size), order="F")
+    def fill(self, flat, k, offsets, data):
+        """Zero part k of ``flat`` and write into it the matrix whose
+        band-order diagonals are ``data`` (``dia_matrix`` layout, diagonal
+        offsets[i] in data[i]): block k's half-band and coupling block for
+        k = 0, 1, the separator block's lower triangle for k = 2."""
+        size = flat.itemsize
+        for first, count, base, rows, cols, row_step, col_step, i0, j0, lo, hi in self._writes[k]:
+            ctypes.memset(flat.ctypes.data + first * size, 0, count * size)  # half the time of numpy's fill
+            for o, values in zip(offsets, data):
+                d = o - j0 + i0  # the block's diagonal c - r holding H's diagonal o
+                if max(lo, 1 - rows) <= d <= min(hi, cols - 1):
+                    r = max(0, -d)
+                    length = min(rows - r, cols - r - d)
+                    np.ndarray(length, flat.dtype, flat, (base + r * row_step + (r + d) * col_step) * size,
+                               ((row_step + col_step) * size,))[...] = values[j0 + r + d:j0 + r + d + length]
 
     def _on_both_blocks(self, fn, parallel):
         """``fn(k, *block)`` for both blocks k: block 2 on the worker thread
@@ -276,24 +302,24 @@ class BandSplit:
                      for _, _, tail, offset in self.blocks]
         return couplings, flat[self.sep_offset:].reshape((b, b), order="F")
 
-    def factor(self, flat, fill, parallel):
-        """Factor the system in ``flat`` in place, each block on its own
-        thread: ``fill(k, band)`` first writes block k's half-band
-        (``self.band``); the coupling and separator blocks must be written
-        already.  Returns None, or the block-layout index of the first pivot
-        that is not positive."""
+    def factor(self, flat, offsets, data, parallel):
+        """Write the matrix whose band-order diagonals are ``data`` into
+        ``flat`` and factor it in place: the calling thread writes the
+        separator block, and each block's thread writes its half-band and
+        coupling block before it factors them.  Returns None, or the
+        block-layout index of the first pivot that is not positive."""
         lapack, b = _ROUTINES[flat.dtype], self.b
+        self.fill(flat, 2, offsets, data)
         separator = self._parts(flat)[1]
         term = np.zeros_like(separator)  # W2^H W2, apart, so S sums in one order
 
         def half(k, start, size, tail, coupling):
-            fill(k, self.band(flat, k))
+            self.fill(flat, k, offsets, data)
             info = lapack.pbtrf(flat, start * (b + 1), size, b)
             if info:
                 return start + info - 1
-            if tail:
-                lapack.tbtrs(b"N", flat, (start + size - tail) * (b + 1), tail, b,
-                             flat, coupling, b, tail)
+            if tail:  # the trailing tail x tail triangle of L_k has leading dimension b in band storage
+                lapack.trsm(flat, (start + size - tail) * (b + 1), tail, b, flat, coupling, b)
                 if k == 0:  # H_ss - W1^H W1, in place
                     lapack.herk(-1.0, flat, coupling, tail, b, 1.0, flat, self.sep_offset)
                 else:
@@ -334,28 +360,6 @@ def _parallel():
     """Whether the process may run on more than one CPU, one for the worker."""
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
     return len(cpus) > 1
-
-
-@functools.lru_cache(maxsize=4)
-def _dia_plan(n, offsets):
-    """The ``BandSplit`` of an n x n Hermitian ``dia_matrix`` in band order
-    with these ``offsets`` (a tuple), the band index of each block-layout
-    unknown, (d, data row of diagonal -d, of +d) for each band row d with
-    both stored, and (src, dst) with ``flat[dst] = data.flat[src]`` for the
-    coupling and separator entries."""
-    offsets = np.asarray(offsets)
-    row = {int(o): k for k, o in enumerate(offsets)}
-    split = BandSplit(n, int(np.max(np.abs(offsets))))
-    order = split.band_index()
-    rows = [(d, row[-d], row[d]) for d in range(split.b + 1) if -d in row and d in row]
-    k, j = np.divmod(np.arange(offsets.size * n), n)  # every slot (k, j) of data
-    i = j - offsets[k]
-    slots = np.flatnonzero((i >= 0) & (i < n))
-    block = np.empty(n, dtype=np.int64)
-    block[order] = np.arange(n)
-    src, dst = split.positions(block[i[slots]], block[j[slots]])
-    coupled = dst >= split.blocks[0][3]
-    return split, order, rows, slots[src[coupled]], dst[coupled]
 
 
 class SparseFactorization:
@@ -410,11 +414,11 @@ def factorize(H, ordering=None):
     ``ordering`` optionally supplies a bandwidth-reducing permutation
     (perm[new] = old), which the banded factor uses as given; without one
     H's own order is the band order.  H is read as a ``dia_matrix``
-    (``DiagonalMap``, unless it is one already in band order), and each
-    half-band is written from its diagonals by the thread that factors it.
-    Falls back to sparse LU when banded storage would be too
-    large.  A breakdown's ``pivot_index`` is the index in H of the first
-    pivot that is not positive.
+    (``DiagonalMap``, unless it is one already in band order), and every
+    part of the split band is written from its diagonals.  Falls back to
+    sparse LU when banded storage would be too large.  A breakdown's
+    ``pivot_index`` is the index in H of the first pivot that is not
+    positive.
     """
     if H.shape[0] != H.shape[1]:
         raise ShapeError(f"matrix must be square, got {H.shape}")
@@ -423,9 +427,9 @@ def factorize(H, ordering=None):
     system = _band_system(H, ordering, dtype)
     if system is None:
         return SparseFactorization("splu", n, dtype, lu=_splu(H, dtype, 0.01))
-    split, order, flat, fill = system
-    parallel = _parallel()
-    pivot = split.factor(flat, fill, parallel)
+    split, order, band = system
+    flat, parallel = np.empty(split.size, dtype=dtype), _parallel()
+    pivot = split.factor(flat, band.offsets, band.data, parallel)
     if pivot is not None:
         raise FactorizationError(f"banded Cholesky breakdown at pivot {order[pivot]}",
                                  pivot_index=int(order[pivot]))
@@ -434,33 +438,19 @@ def factorize(H, ordering=None):
 
 
 def _band_system(H, ordering, dtype):
-    """(split, order, flat, fill) for the banded factor of H: the
-    ``BandSplit``, the index in H of each block-layout unknown, a fresh
-    buffer holding the coupling and separator entries, and
-    ``fill(k, band)``, which writes block k's half-band into it.  None when
-    the buffer would be larger than ``_MAX_BAND_BYTES``."""
+    """(split, order, band) for the banded factor of H: the ``BandSplit``,
+    the index in H of each block-layout unknown and H in band order as a
+    ``dia_matrix``.  None when the split buffer would be larger than
+    ``_MAX_BAND_BYTES``."""
     n = H.shape[0]
     perm = np.arange(n) if ordering is None else np.asarray(ordering, dtype=np.int64)
     if perm.size != n:
         raise ShapeError("ordering length does not match matrix dimension")
     read = None if ordering is None and H.format == "dia" and H.data.shape[1] == n else DiagonalMap(H, perm)
-    offsets = tuple(int(o) for o in (H if read is None else read).offsets)
-    if BandSplit(n, max(map(abs, offsets), default=0)).size * dtype.itemsize > _MAX_BAND_BYTES:
+    split = BandSplit(n, int(np.max(np.abs((H if read is None else read).offsets), initial=0)))
+    if split.size * dtype.itemsize > _MAX_BAND_BYTES:
         return None
-    data = np.ascontiguousarray((H if read is None else read(H)).data)
-    split, band_index, rows, src, dst = _dia_plan(n, offsets)
-    flat = np.empty(split.size, dtype=dtype)
-    flat[split.blocks[0][3]:] = 0
-    flat[dst] = data.ravel()[src]
-
-    def fill(k, band):  # block 2 is stored reversed: its rows are the upper diagonals
-        ctypes.memset(band.ctypes.data, 0, band.nbytes)  # half the time of numpy's fill
-        size = band.shape[1]
-        for d, lower, upper in rows:
-            if d < size:
-                band[d, :size - d] = data[lower, :size - d] if k == 0 else data[upper, n - size + d:][::-1]
-
-    return split, perm[band_index], flat, fill
+    return split, perm[split.band_index()], H if read is None else read(H)
 
 
 def _splu(M, dtype, diag_pivot_thresh):

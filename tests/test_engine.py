@@ -16,6 +16,8 @@ from iwri.linalg import assemble_normal_matrix, factorize
 from iwri.presets import box_anomaly_setup
 from iwri.workflow import InversionSettings, compute_lambda, estimate_mu1
 
+from tests_helpers_toy import filled_split_buffer, split_buffer_oracle
+
 
 def tiny_problem(seed=5, frequencies=(5.0, 8.0), bounds=None, nx=8, nz=6,
                  v_span=(1700.0, 2000.0), bounds_mode="clip"):
@@ -366,32 +368,10 @@ def test_shared_layouts_factor_bit_equal_to_fresh(rng):
     assert again.kernels[0].stencil is problem.kernels[0].stencil
 
 
-def _gathered(H, ordering, dtype):
-    """The split buffer of the CSR matrix H, gathered entry by entry through
-    the band positions of its pattern."""
-    n, inv = H.shape[0], np.argsort(ordering)
-    rows, cols = inv[np.repeat(np.arange(n), np.diff(H.indptr))], inv[H.indices]
-    split = la.BandSplit(n, int(np.max(np.abs(rows - cols))))
-    block = np.empty(n, dtype=np.int64)
-    block[split.band_index()] = np.arange(n)
-    src, dst = split.positions(block[rows], block[cols])
-    flat = np.zeros(split.size, dtype=dtype)
-    flat[dst] = H.data[src]
-    return flat
-
-
-def _filled(H, dtype):
-    """The split buffer the diagonal fill writes, both half-bands included."""
-    split, _, flat, fill = la._band_system(H, None, np.dtype(dtype))
-    for k in (0, 1):
-        fill(k, split.band(flat, k))
-    return flat
-
-
 def test_diagonal_fill_equals_gathered_csr(rng):
     # H = P^H P + lam A^H A at 2.5, 5 and 7 Hz on the box for two models, and
     # N + gamma I, both written from their diagonals, against the buffers
-    # gathered from the CSR matrices of the sparse products
+    # read in block layout from the CSR matrices of the sparse products
     setup, problem = _box_problem()
     pad, phys = problem.pad_ordering, problem.phys_ordering
     pairs = []
@@ -401,14 +381,14 @@ def test_diagonal_fill_equals_gathered_csr(rng):
             A, P = k.assemble(m), problem.P
             csr = (P.conjugate().T @ P + lam * (A.conjugate().T @ A)).tocsr()
             new = assemble_normal_matrix(problem.band_operator(A), problem.band_P, lam)
-            pairs.append((_filled(new, complex), _gathered(csr, pad, complex)))
+            pairs.append((filled_split_buffer(new, None, complex), split_buffer_oracle(csr, pad, complex)))
     natural = ModelNormalPlan(problem.kernels[0], np.arange(problem.grid.n))
     for _ in range(2):
         us = rng.standard_normal((3, problem.n_pad, 1)) + 1j * rng.standard_normal((3, problem.n_pad, 1))
         gamma = 0.1 * float(np.mean(natural.matrix(problem.kernels, us).diagonal()))
         csr = natural.matrix(problem.kernels, us).tocsr() + gamma * sp.identity(problem.grid.n)
         new = engine._add_to_diagonal(problem.model_normal.matrix(problem.kernels, us), gamma)
-        pairs.append((_filled(new, float), _gathered(csr, phys, float)))
+        pairs.append((filled_split_buffer(new, None, float), split_buffer_oracle(csr, phys, float)))
     for new, old in pairs:
         assert np.array_equal(np.flatnonzero(new), np.flatnonzero(old))
         assert np.max(np.abs(new - old)) <= 1e-15 * np.max(np.abs(old))
@@ -419,27 +399,44 @@ def test_model_normal_plan_matches_product_loop(rng):
 
     setup = box_anomaly_setup(nx=40, nz=28, dx=25.0)
     grid = setup.true_model.grid
-    geom = AcquisitionGeometry(sources=((40.0, 200.0), (40.0, 500.0)),
-                               receivers=setup.geometry.receivers)
-    dataset = FrequencyDataset(frequencies=setup.frequencies, geometry=geom,
-                               data=[np.zeros((geom.n_receivers, 2))] * 3, noise_level=[1.0] * 3)
-    problem = InversionProblem(grid, PmlConfig(), StencilScheme(), dataset, bounds=setup.bounds)
-    n_pad = problem.n_pad
-    R = sp.csr_matrix((np.ones(n_pad), (np.arange(n_pad), problem.topology.phys_of_pad)),
-                      shape=(n_pad, grid.n))
-    us = rng.standard_normal((3, n_pad, 2)) + 1j * rng.standard_normal((3, n_pad, 2))
-    expected = None  # the per-(frequency, source) product loop the plan replaces
-    for kern, u in zip(problem.kernels, us):
-        for s in range(2):
-            Lr = kern.scaled_mass(u[:, s]) @ R
-            contrib = Lr.conjugate().T @ Lr
-            expected = contrib if expected is None else expected + contrib
-    perm = problem.phys_ordering  # the plan fills N in the band order
-    expected = expected.real.tocsr()[perm][:, perm]
-    normal = problem.model_normal.matrix(problem.kernels, us).tocsr()
-    assert normal.dtype == np.float64
-    assert abs(normal - expected).max() <= 1e-14 * abs(expected).max()
-    assert normal.nnz == expected.nnz
+    for sources in (((40.0, 200.0), (40.0, 500.0)), ((40.0, 200.0), (40.0, 350.0), (40.0, 500.0))):
+        n_src = len(sources)
+        geom = AcquisitionGeometry(sources=sources, receivers=setup.geometry.receivers)
+        dataset = FrequencyDataset(frequencies=setup.frequencies, geometry=geom,
+                                   data=[np.zeros((geom.n_receivers, n_src))] * 3, noise_level=[1.0] * 3)
+        problem = InversionProblem(grid, PmlConfig(), StencilScheme(), dataset, bounds=setup.bounds)
+        n_pad = problem.n_pad
+        R = sp.csr_matrix((np.ones(n_pad), (np.arange(n_pad), problem.topology.phys_of_pad)),
+                          shape=(n_pad, grid.n))
+        us = rng.standard_normal((3, n_pad, n_src)) + 1j * rng.standard_normal((3, n_pad, n_src))
+        expected = None  # the per-(frequency, source) product loop the plan replaces
+        for kern, u in zip(problem.kernels, us):
+            for s in range(n_src):
+                Lr = kern.scaled_mass(u[:, s]) @ R
+                contrib = Lr.conjugate().T @ Lr
+                expected = contrib if expected is None else expected + contrib
+        perm = problem.phys_ordering  # the plan fills N in the band order
+        expected = expected.real.tocsr()[perm][:, perm]
+        normal = problem.model_normal.matrix(problem.kernels, us).tocsr()
+        assert normal.dtype == np.float64
+        assert abs(normal - expected).max() <= 1e-14 * abs(expected).max()
+        assert normal.nnz == expected.nnz
+
+
+def test_model_normal_offsets_are_those_of_the_stencil_pattern(rng):
+    # N keeps the band diagonals that B^T B's pattern reaches through the
+    # padding map, and no others (a fold of every stored Gram slot would add
+    # all-zero diagonals far outside the band)
+    setup, problem = _box_problem()
+    kern = problem.kernels[0]
+    G = (kern.stencil.T @ kern.stencil).tocoo()
+    inv, phys = np.argsort(problem.phys_ordering), kern.topology.phys_of_pad
+    expected = np.unique(inv[phys[G.col]] - inv[phys[G.row]])
+    us = rng.standard_normal((3, problem.n_pad, 1)) + 1j * rng.standard_normal((3, problem.n_pad, 1))
+    normal = problem.model_normal.matrix(problem.kernels, us)
+    assert np.array_equal(problem.model_normal.offsets, expected)
+    assert np.array_equal(normal.offsets, expected)
+    assert factorize(engine._add_to_diagonal(normal, 1.0))._backend == "banded"
 
 
 def test_model_normal_plan_same_from_every_kernel(rng):
@@ -459,6 +456,35 @@ def test_model_normal_plan_same_from_every_kernel(rng):
     for normal in others:
         for part in ("data", "offsets"):
             assert np.array_equal(getattr(normal, part), getattr(first, part))
+
+
+def test_wavefield_breakdown_names_padded_grid_cell(monkeypatch):
+    # H is factored in band order; the error names the padded-grid cell
+    problem, m_true, dataset = tiny_problem()
+    n, pad = problem.n_pad, problem.pad_ordering
+    bad = int(np.flatnonzero(pad != np.arange(n))[0])  # a band index that is not its own cell
+    diagonal = np.ones(n, dtype=complex)
+    diagonal[bad] = -1.0
+    monkeypatch.setattr(engine, "assemble_normal_matrix",
+                        lambda A, P, lam: sp.dia_matrix((diagonal[None], [0]), shape=(n, n)))
+    state = init_state(problem, np.full(problem.grid.n, 1.0 / 1850.0**2))
+    with pytest.raises(SolverError, match=f"pivot {pad[bad]}\\b") as info:
+        inner_refine(problem, state, PenaltyParams(lambdas=(3.0, 1.0)))
+    assert info.value.__cause__.pivot_index == pad[bad]
+
+
+def test_model_breakdown_names_physical_cell():
+    # N given in band order with its ordering: the error names the physical cell
+    n, bad = 12, 3
+    perm = np.random.default_rng(7).permutation(n)
+    assert perm[bad] != bad
+    diagonal = np.ones(n)
+    diagonal[bad] = -1.0
+    normal = sp.dia_matrix((diagonal[None], [0]), shape=(n, n))
+    box = BoxConstraintState.init(np.ones(n), -np.inf, np.inf)
+    with pytest.raises(la.FactorizationError, match=f"pivot {perm[bad]}\\b") as info:
+        estimate_model(normal, np.ones(n), -np.inf, np.inf, box, ordering=perm, mode="clip")
+    assert info.value.pivot_index == perm[bad]
 
 
 def test_problem_rejects_unknown_bounds_mode():

@@ -7,6 +7,8 @@ from iwri.errors import FactorizationError, ParameterError, ShapeError
 from iwri.linalg import (assemble_normal_matrix, factorize, lu_factorize,
                          power_iteration_mu1)
 
+from tests_helpers_toy import filled_split_buffer, split_buffer_oracle
+
 
 def random_sparse(rng, rows, cols, density=0.3):
     mask = rng.random((rows, cols)) < density
@@ -176,6 +178,21 @@ def test_split_factorization_matches_dense_solve(rng, n, b, complex_values):
             expected = np.linalg.solve(dense, r)
             assert x.shape == r.shape and x.dtype == expected.dtype
             assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("n, b", [(7, 0), (1, 0), (5, 4), (9, 3), (16, 3), (41, 4), (60, 7)])
+@pytest.mark.parametrize("complex_values", [True, False])
+def test_split_fill_equals_block_layout_oracle(rng, n, b, complex_values):
+    # every entry of the split buffer before factoring, from H as CSR with an
+    # ordering and from H in band order as a dia_matrix
+    dtype = complex if complex_values else float
+    ordering = rng.permutation(n)
+    H = _random_band(rng, n, b, complex_values, ordering)
+    band = sp.dia_matrix(H.toarray()[np.ix_(ordering, ordering)])
+    expected = split_buffer_oracle(H, ordering, dtype)
+    assert la.BandSplit(n, b).size == expected.size
+    assert np.array_equal(filled_split_buffer(H, ordering, dtype), expected)
+    assert np.array_equal(filled_split_buffer(band, None, dtype), expected)
 
 
 def test_split_factorization_repeats_bit_equal(rng):
