@@ -247,12 +247,13 @@ class BandSplit:
         self.sep_offset = coupling
         self.size = coupling + b * b
         (_, s1, t1, c1), (_, s2, t2, c2) = blocks
-        # Part k (block 1, block 2, separator) as (entries first:first + count,
-        # then per block: base, rows, columns, row step, column step, i0, j0,
-        # lo, hi): flat[base + r * row step + c * column step] = H[i0 + r, j0 + c]
-        # (band order) on the diagonals lo <= c - r <= hi of a rows x columns
-        # block.  A half-band reads as a block with column step b; block 2's
-        # and its coupling rows run backwards.
+        # Part k (block 1, block 2, the separator) as rectangles (first, count,
+        # base, rows, cols, row step, col step, i0, j0, lo, hi): ``fill`` zeroes
+        # flat[first:first + count] and writes flat[base + r * row step + c *
+        # col step] = H[i0 + r, j0 + c] (band order) on the diagonals
+        # lo <= c - r <= hi of a rows x cols block.  A half-band in LAPACK's
+        # lower band storage is such a block with column step b; block 2 and
+        # its coupling rows run backwards.
         self._writes = (
             ((0, s1 * (b + 1), 0, s1, s1, 1, b, 0, 0, -b, 0),
              (c1, t1 * b, c1, t1, b, 1, t1, s - t1, s, 1 - t1, b - 1)),
