@@ -70,8 +70,7 @@ def assemble_normal_matrix(A, P, lam):
     if np.all(np.diff(P.indptr) <= 1):  # P^H P lies on the diagonal
         data[offsets.size // 2] += np.bincount(P.indices, weights=np.abs(P.data) ** 2, minlength=n)
         return sp.dia_matrix((data, offsets), shape=(n, n))
-    H = sp.dia_matrix((data, offsets), shape=(n, n))
-    H = H + P.conjugate().T @ P  # P^H P off the diagonal: a sparse sum
+    H = sp.dia_matrix((data, offsets), shape=(n, n)) + P.conjugate().T @ P  # P^H P off the diagonal
     return DiagonalMap(H)(H)
 
 
