@@ -29,7 +29,7 @@ from .errors import ParameterError, ShapeError, SolverError
 from .grid import velocity_to_slowness_sq
 from .helmholtz import build_kernel, forward_solve, resolve_pml
 from .acquisition import build_observation, source_matrix
-from .linalg import DiagonalMap, FactorizationError, _gram, assemble_normal_matrix, factorize
+from .linalg import FactorizationError, _diagonals, _gram, assemble_normal_matrix, factorize
 from .util import axis_minor_ordering, stacked_norm
 
 
@@ -129,7 +129,7 @@ class ModelNormalPlan:
 
     def __init__(self, kernel, ordering):
         n, B = kernel.grid.n, kernel.stencil
-        self.stencil = DiagonalMap(B)(B)  # B's diagonals on the padded grid
+        self.stencil = B  # B's diagonals on the padded grid
         lags, gram = _gram(self.stencil.data[None], self.stencil.offsets)  # B^T B
         self.source = np.flatnonzero(gram)
         k, cols = np.divmod(self.source, B.shape[0])
@@ -154,8 +154,29 @@ class ModelNormalPlan:
 _PLANS = None, None  # (key, plans) of the last grid, PML and scheme
 
 
+def _band_reader(kernel, perm):
+    """The function reading an A(m) on ``kernel``'s offsets in the band
+    order ``perm`` (perm[new] = old) as a ``dia_matrix``: one fixed gather
+    of A's diagonals, each of which the band order moves onto one band
+    diagonal (checked on the nonzero entries of Lap and S)."""
+    offsets, inv = kernel.laplacian.offsets, np.argsort(perm)
+    nonzero = (kernel.laplacian.data != 0) | (kernel.mass_basis.data != 0)
+    moved = [np.unique(inv[j] - inv[j - k]) for k, j in zip(offsets, map(np.flatnonzero, nonzero))]
+    if any(band.size != 1 for band in moved):
+        raise ValueError("a diagonal of the padded grid spans several band diagonals")
+    order = np.argsort(np.concatenate(moved))
+    band_offsets, index = np.concatenate(moved)[order], order[:, None] * perm.size + perm
+
+    def read(A):
+        if not np.array_equal(A.offsets, offsets):
+            raise ValueError(f"A's offsets {A.offsets} are not the band reader's {offsets}")
+        return sp.dia_matrix((np.take(A.data, index), band_offsets), shape=A.shape)
+
+    return read
+
+
 def _band_plans(grid, pml, scheme, kernel):
-    """The band orders of the padded and the physical grid, the map reading
+    """The band orders of the padded and the physical grid, the reader of
     A(m) in band order and the model normal plan.  They depend only on the
     grid, the resolved PML and the scheme (``kernel`` is any kernel on
     them), so one build serves every batch."""
@@ -165,8 +186,7 @@ def _band_plans(grid, pml, scheme, kernel):
         pad, phys = (axis_minor_ordering(g.nz, g.nx) if g.nz < g.nx else np.arange(g.n)
                      for g in (kernel.topology.grid_pad, grid))
         pad.flags.writeable = phys.flags.writeable = False  # shared by problems
-        pattern = abs(kernel.laplacian) + abs(kernel.mass_basis)  # that of every A(m)
-        plans = pad, phys, DiagonalMap(pattern, pad), ModelNormalPlan(kernel, phys)
+        plans = pad, phys, _band_reader(kernel, pad), ModelNormalPlan(kernel, phys)
         _PLANS = (grid, pml, scheme), plans
     return plans
 
@@ -241,9 +261,14 @@ def init_state(problem, m0_values):
 
 def reconstruct_wavefield(factorization, P, A, lam, d_eff, b_eff):
     """Closed-form wavefield: minimizer of
-    1/2 ||P u - d_eff||^2 + lam/2 ||A u - b_eff||^2.  A^H b is formed as
-    conj(A^T conj(b)), which copies no matrix."""
-    rhs = P.conjugate().T @ d_eff + lam * np.conj(A.T @ np.conj(b_eff))
+    1/2 ||P u - d_eff||^2 + lam/2 ||A u - b_eff||^2 for a ``dia_matrix`` A.
+    A^H b is formed as conj(A^T conj(b)), A^T's diagonals being A's rolled
+    as scipy's transpose rolls them, but stored with ascending offsets: each
+    entry then sums in A's row order (scipy's transpose stores them
+    descending, and takes five times as long)."""
+    At = sp.dia_matrix((np.stack([np.roll(d, -k) for k, d in zip(A.offsets[::-1], A.data[::-1])]),
+                        -A.offsets[::-1]), shape=A.shape)
+    rhs = P.conjugate().T @ d_eff + lam * np.conj(At @ np.conj(b_eff))
     return factorization.solve(rhs)
 
 
@@ -274,9 +299,11 @@ def wri_objective(A, P, u, d_eff, b_eff, lam):
 def _mass_rmatvec(kernel, u, r):
     """Re(L(u)^H r) restricted to the physical cells, summed over source
     columns.  With S = B diag(c) and w = c u, as in ``ModelNormalPlan``:
-    bincount(phys_of_pad, Re(omega^2 conj(w) B^T r))."""
+    bincount(phys_of_pad, Re(omega^2 conj(w) B^T r)), where B r is B^T r to
+    the bit: B's weights are symmetric, the Dirichlet ring cuts neighbours
+    in pairs, and transposing B's diagonals would cost more than the product."""
     w = kernel.damping[:, None] * u
-    g_pad = np.sum(np.real(kernel.omega**2 * np.conj(w) * (kernel.stencil.T @ r)), axis=1)
+    g_pad = np.sum(np.real(kernel.omega**2 * np.conj(w) * (kernel.stencil @ r)), axis=1)
     return np.bincount(kernel.topology.phys_of_pad, weights=g_pad,
                        minlength=kernel.grid.n)
 
@@ -345,7 +372,7 @@ def _factorize_in(system, perm):
 def _add_to_diagonal(M, value):
     """M + value * I as a ``dia_matrix``; M is not changed."""
     if not (M.format == "dia" and M.data.shape[1] == M.shape[0] and 0 in M.offsets):
-        M = DiagonalMap(M)(M)
+        M = _diagonals(M)
     data = M.data.copy()
     data[np.flatnonzero(M.offsets == 0)] += value
     return sp.dia_matrix((data, M.offsets), shape=M.shape)

@@ -188,23 +188,19 @@ def read_convergence_csv(path):
 # -- grayscale raster ----------------------------------------------------------
 
 
-def write_raster(field, path, scaling="minmax"):
-    """Binary P5 raster of a real 2D field; ``scaling`` is "minmax" or a
-    fixed (lo, hi) pair.  A flat range maps everything to mid-gray."""
+def write_raster(field, path):
+    """Binary P5 raster of a real 2D field, scaled from its minimum (black)
+    to its maximum (white).  A flat field maps everything to mid-gray."""
     field = np.asarray(field, dtype=float)
     if field.ndim != 2:
         raise FormatError("raster export expects a 2D field")
     if not np.all(np.isfinite(field)):
         raise FormatError("raster export expects a finite field")
-    if scaling == "minmax":
-        lo, hi = float(field.min()), float(field.max())
-    else:
-        lo, hi = float(scaling[0]), float(scaling[1])
+    lo, hi = float(field.min()), float(field.max())
     if hi == lo:
         pixels = np.full(field.shape, 128, dtype=np.uint8)
     else:
-        scaled = np.rint(255.0 * (field - lo) / (hi - lo))
-        pixels = np.clip(scaled, 0, 255).astype(np.uint8)
+        pixels = np.rint(255.0 * (field - lo) / (hi - lo)).astype(np.uint8)
     nz, nx = field.shape
     _write(path, ["P5", f"{nx} {nz}", "255"], pixels.tobytes())
 

@@ -67,8 +67,11 @@ class PmlConfig:
     def __post_init__(self):
         if self.n_layers < 0:
             raise ParameterError(f"n_layers must be nonnegative, got {self.n_layers}")
-        if self.max_damping is not None and self.max_damping < 0:
-            raise ParameterError(f"max_damping must be nonnegative, got {self.max_damping}")
+        # 0**0 = 1 would damp every cell at the full rate
+        if not 0.0 < self.profile_exponent < math.inf:
+            raise ParameterError(f"profile_exponent must be finite and positive, got {self.profile_exponent}")
+        if self.max_damping is not None and not 0.0 <= self.max_damping < math.inf:
+            raise ParameterError(f"max_damping must be finite and nonnegative, got {self.max_damping}")
         unknown = set(self.sides) - _ALL_SIDES
         if unknown:
             raise ParameterError(f"unknown PML sides: {sorted(unknown)}")
@@ -112,6 +115,9 @@ class StencilScheme:
     def __post_init__(self):
         if not 0.0 < self.laplacian_mix <= 1.0:
             raise ParameterError(f"laplacian_mix must be in (0, 1], got {self.laplacian_mix}")
+        weights = (self.mass_center, self.mass_edge, self.mass_corner)
+        if not all(map(math.isfinite, weights)):
+            raise ParameterError(f"mass weights must be finite, got {weights}")
         total = self.mass_center + 4 * self.mass_edge + 4 * self.mass_corner
         if abs(total - 1.0) > 1e-9:
             raise ParameterError(f"mass weights must sum to 1, got {total}")
@@ -170,27 +176,21 @@ def _axis_damping(n_cells, spacing, n_layers, lo_on, hi_on, sigma_max, exponent)
 
 
 def _offset_matrix(grid_pad, table):
-    """Sparse matrix on the padded grid from ``((dz, dx), coefficient)``
+    """``dia_matrix`` on the padded grid from ``((dz, dx), coefficient)``
     pairs: row (iz, ix) holds the coefficient (a scalar, or an (nz, nx)
     array read at the row) in column (iz + dz, ix + dx).  Neighbours in the
-    Dirichlet ring outside the grid and exact zeros are dropped; repeated
-    offsets add up."""
+    Dirichlet ring outside the grid are dropped, repeated offsets add up and
+    all-zero diagonals are not stored."""
     nzp, nxp = grid_pad.nz, grid_pad.nx
-    idx = np.arange(nzp * nxp).reshape(nzp, nxp)
-    rows, cols, vals = [], [], []
+    dtype = np.result_type(*(coef for _, coef in table))
+    diagonals = {}  # offset dz * nx + dx -> its entries by column, as a dia_matrix stores them
     for (dz, dx), coef in table:
         at_row = np.s_[max(0, -dz):nzp - max(0, dz), max(0, -dx):nxp - max(0, dx)]
         at_col = np.s_[max(0, dz):nzp - max(0, -dz), max(0, dx):nxp - max(0, -dx)]
-        v = np.broadcast_to(coef, idx.shape)[at_row]
-        keep = v != 0
-        rows.append(idx[at_row][keep])
-        cols.append(idx[at_col][keep])
-        vals.append(v[keep])
-    n = nzp * nxp
-    mat = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                        shape=(n, n))
-    mat.sum_duplicates()
-    return mat
+        column = diagonals.setdefault(dz * nxp + dx, np.zeros((nzp, nxp), dtype))
+        column[at_col] += np.broadcast_to(coef, (nzp, nxp))[at_row]
+    offsets = sorted(k for k, column in diagonals.items() if column.any())
+    return sp.dia_matrix((np.stack([diagonals[k].ravel() for k in offsets]), offsets), shape=(nzp * nxp,) * 2)
 
 
 @functools.lru_cache(maxsize=1)
@@ -219,8 +219,8 @@ class HelmholtzKernel:
     Holds the stretched Laplacian, the real mass-spreading stencil B
     (``stencil``), the PML damping c (``damping``), the mass matrix
     S = B diag(c) (``mass_basis``) formed from them, and the
-    physical/padded index maps; assembling A(m) for a new model is a cheap
-    column scaling plus a sparse add.
+    physical/padded index maps, all ``dia_matrix``es in padded-grid order;
+    Lap and S share A(m)'s offsets, so A(m) is one sum of their diagonals.
     """
 
     def __init__(self, grid, omega, pml, scheme):
@@ -252,14 +252,17 @@ class HelmholtzKernel:
         a_zm = sx_c[None, :] / sz_f[:-1, None] * weight
         dx2, dz2 = gp.dx**2, gp.dz**2
         rot = np.where(mixed, (1.0 - mix) / (2.0 * dx2), 0.0)
-        self.laplacian = _offset_matrix(gp, [
+        laplacian = _offset_matrix(gp, [
             ((0, 0), -(a_xp + a_xm) / dx2 - (a_zp + a_zm) / dz2), ((0, 0), -4.0 * rot),
             ((0, 1), a_xp / dx2), ((0, -1), a_xm / dx2), ((1, 0), a_zp / dz2), ((-1, 0), a_zm / dz2),
         ] + [((dz, dx), rot) for dz in (-1, 1) for dx in (-1, 1)])
 
-        B = self.stencil
-        self.mass_basis = sp.csr_matrix((B.data * self.damping[B.indices], B.indices, B.indptr),
-                                        shape=B.shape)
+        # Lap and S = B diag(c) (c scales each column) on A's offsets, their union
+        B, offsets = self.stencil, np.union1d(laplacian.offsets, self.stencil.offsets)
+        data = np.zeros((2, offsets.size, gp.n), dtype=complex)
+        data[0, np.searchsorted(offsets, laplacian.offsets)] = laplacian.data
+        data[1, np.searchsorted(offsets, B.offsets)] = B.data * self.damping
+        self.laplacian, self.mass_basis = (sp.dia_matrix((d, offsets), shape=B.shape) for d in data)
 
     # -- operations --------------------------------------------------------
 
@@ -278,13 +281,12 @@ class HelmholtzKernel:
         if coeff.shape[0] != self.topology.n_pad:
             raise ShapeError(f"vector has length {coeff.shape[0]}, padded grid holds {self.topology.n_pad}")
         S = self.mass_basis
-        scaled = sp.csr_matrix((self.omega**2 * S.data * coeff[S.indices], S.indices, S.indptr),
-                               shape=S.shape)
-        return scaled
+        return sp.dia_matrix((self.omega**2 * S.data * coeff, S.offsets), shape=S.shape)
 
     def assemble(self, m_values):
         """A(m) for a physical squared-slowness vector."""
-        return (self.laplacian + self.scaled_mass(self.pad_model(m_values))).tocsr()
+        mass = self.scaled_mass(self.pad_model(m_values))
+        return sp.dia_matrix((self.laplacian.data + mass.data, mass.offsets), shape=mass.shape)
 
 
 def build_kernel(grid, omega, pml, scheme):
@@ -293,10 +295,10 @@ def build_kernel(grid, omega, pml, scheme):
 
 
 def _digest(A, b):
-    """Content key of a forward solve: A as CSR and b, with shapes and dtypes."""
-    A = sp.csr_matrix(A)
+    """Content key of a forward solve: A as COO and b, with shapes and dtypes."""
+    A = sp.coo_matrix(A)
     h = hashlib.sha256()
-    for arr in (A.indptr, A.indices, A.data, b):
+    for arr in (A.row, A.col, A.data, b):
         arr = np.ascontiguousarray(arr)
         h.update(f"{arr.shape}{arr.dtype.str};".encode())
         h.update(arr)

@@ -64,14 +64,14 @@ def assemble_normal_matrix(A, P, lam):
     if not lam > 0:
         raise ParameterError(f"penalty weight must be positive, got {lam}")
     n, P = A.shape[0], sp.csr_matrix(P)
-    A = A if A.format == "dia" and A.data.shape[1] == n else DiagonalMap(A)(A)
+    A = A if A.format == "dia" and A.data.shape[1] == n else _diagonals(A)
     offsets, data = _gram(A.data[None], A.offsets)
     data *= lam
     if np.all(np.diff(P.indptr) <= 1):  # P^H P lies on the diagonal
         data[offsets.size // 2] += np.bincount(P.indices, weights=np.abs(P.data) ** 2, minlength=n)
         return sp.dia_matrix((data, offsets), shape=(n, n))
     H = sp.dia_matrix((data, offsets), shape=(n, n)) + P.conjugate().T @ P  # P^H P off the diagonal
-    return DiagonalMap(H)(H)
+    return _diagonals(H)
 
 
 def _gram(x, offsets):
@@ -100,34 +100,27 @@ def _gram(x, offsets):
     return np.concatenate((-lags[::-1], lags[1:])), data
 
 
-class DiagonalMap:
-    """Reads a sparse matrix of one fixed pattern in the band order ``perm``
-    (perm[new] = old; its own order by default) as a ``dia_matrix`` that
-    holds the main diagonal, straight from its ``data``: the index map is
-    built once, from the first matrix.  A matrix of another pattern is read
-    through a map of its own; duplicate entries add up."""
+def _permutation(perm, n):
+    """``perm`` as an int64 array, once it is known to hold each index below
+    n exactly once (a bincount, not a sort: ``renumbered`` checks one per cycle)."""
+    perm = np.asarray(perm, dtype=np.int64)
+    if (perm.shape != (n,) or np.any(perm < 0)
+            or not np.array_equal(np.bincount(perm, minlength=n), np.ones(n))):
+        raise ShapeError(f"ordering must be a permutation of the {n} indices")
+    return perm
 
-    def __init__(self, M, perm=None):
-        M = sp.csr_matrix(M, copy=True)
-        M.sum_duplicates()
-        n = M.shape[0]
-        self.perm = np.arange(n) if perm is None else np.asarray(perm)
-        self.indptr, self.indices = M.indptr, M.indices
-        inv = np.argsort(self.perm)
-        rows, cols = inv[np.repeat(np.arange(n), np.diff(M.indptr))], inv[M.indices]
-        self.offsets = np.unique(np.append(cols - rows, 0))
-        self.slots = np.searchsorted(self.offsets, cols - rows) * n + cols
 
-    def __call__(self, M):
-        """M[perm][:, perm] as a ``dia_matrix``."""
-        if not (M.format == "csr" and np.array_equal(M.indptr, self.indptr)
-                and np.array_equal(M.indices, self.indices)):
-            M = sp.csr_matrix(M, copy=True)
-            M.sum_duplicates()
-            return DiagonalMap(M, self.perm)(M)
-        data = np.zeros((self.offsets.size, M.shape[0]), dtype=M.dtype)
-        data.ravel()[self.slots] = M.data
-        return sp.dia_matrix((data, self.offsets), shape=M.shape)
+def _diagonals(M, perm=None):
+    """M[perm][:, perm] (perm[new] = old; M's own order by default) as a
+    ``dia_matrix`` that holds the main diagonal, read from a sparse matrix
+    of any format; duplicate entries add up."""
+    M, n = sp.coo_matrix(M), M.shape[0]
+    inv = np.arange(n) if perm is None else np.argsort(_permutation(perm, n))
+    rows, cols = inv[M.row], inv[M.col]
+    offsets, k = np.unique(np.append(cols - rows, 0), return_inverse=True)
+    data = np.zeros((offsets.size, n), dtype=M.dtype)
+    np.add.at(data, (k[:-1], cols), M.data)
+    return sp.dia_matrix((data, offsets), shape=M.shape)
 
 
 def _capsule_function(module, name, argtypes):
@@ -383,7 +376,7 @@ class SparseFactorization:
         """The same factors, for the matrix M with M[perm][:, perm] the one
         factored: ``solve`` then takes and returns vectors in M's order."""
         other = copy.copy(self)
-        other._order = np.asarray(perm)[self._order]
+        other._order = _permutation(perm, self.n)[self._order]
         return other
 
     def solve(self, rhs):
@@ -414,7 +407,7 @@ def factorize(H, ordering=None):
     ``ordering`` optionally supplies a bandwidth-reducing permutation
     (perm[new] = old), which the banded factor uses as given; without one
     H's own order is the band order.  H is read as a ``dia_matrix``
-    (``DiagonalMap``, unless it is one already in band order), and every
+    (``_diagonals``, unless it is one already in band order), and every
     part of the split band is written from its diagonals.  Falls back to
     sparse LU when banded storage would be too large.  A breakdown's
     ``pivot_index`` is the index in H of the first pivot that is not
@@ -443,14 +436,12 @@ def _band_system(H, ordering, dtype):
     ``dia_matrix``.  None when the split buffer would be larger than
     ``_MAX_BAND_BYTES``."""
     n = H.shape[0]
-    perm = np.arange(n) if ordering is None else np.asarray(ordering, dtype=np.int64)
-    if perm.size != n:
-        raise ShapeError("ordering length does not match matrix dimension")
-    read = None if ordering is None and H.format == "dia" and H.data.shape[1] == n else DiagonalMap(H, perm)
-    split = BandSplit(n, int(np.max(np.abs((H if read is None else read).offsets), initial=0)))
+    perm = np.arange(n) if ordering is None else _permutation(ordering, n)
+    band = H if ordering is None and H.format == "dia" and H.data.shape[1] == n else _diagonals(H, perm)
+    split = BandSplit(n, int(np.max(np.abs(band.offsets), initial=0)))
     if split.size * dtype.itemsize > _MAX_BAND_BYTES:
         return None
-    return split, perm[split.band_index()], H if read is None else read(H)
+    return split, perm[split.band_index()], band
 
 
 def _splu(M, dtype, diag_pivot_thresh):

@@ -339,7 +339,8 @@ def _box_problem(**kwargs):
 
 
 def test_shared_layouts_factor_bit_equal_to_fresh(rng):
-    # the maps one problem shares with the next read A and fill N as fresh ones do
+    # the reader and plan one problem shares with the next read A and fill N
+    # as a fresh read of A and a fresh plan do
     setup, problem = _box_problem()
     m = velocity_to_slowness_sq(setup.true_model).values
     n_pad = problem.n_pad
@@ -347,8 +348,11 @@ def test_shared_layouts_factor_bit_equal_to_fresh(rng):
     systems = []  # (band order, system through the shared maps, through fresh ones)
     for k in problem.kernels:
         A = k.assemble(m)
-        shared, fresh = problem.band_operator(A), la.DiagonalMap(A, pad)(A)
+        shared, fresh = problem.band_operator(A), la._diagonals(A, pad)
+        assert np.array_equal(shared.offsets, fresh.offsets)
         assert np.array_equal(shared.data, fresh.data)
+        with pytest.raises(ValueError):  # the reader gathers A's diagonals by their offsets
+            problem.band_operator(sp.dia_matrix((A.data[1:], A.offsets[1:]), shape=A.shape))
         systems.append((pad, *(assemble_normal_matrix(M, problem.band_P, 0.3) for M in (shared, fresh))))
     for _ in range(2):  # model systems of two wavefield sets: one pattern, other values
         us = rng.standard_normal((3, n_pad, 1)) + 1j * rng.standard_normal((3, n_pad, 1))
@@ -485,6 +489,34 @@ def test_model_breakdown_names_physical_cell():
     with pytest.raises(la.FactorizationError, match=f"pivot {perm[bad]}\\b") as info:
         estimate_model(normal, np.ones(n), -np.inf, np.inf, box, ordering=perm, mode="clip")
     assert info.value.pivot_index == perm[bad]
+
+
+@pytest.mark.parametrize("ordering", [[0, 0, 2, 3, 4, 5], [5, 4, 3, 2, 1, 1], [0, 1, 2, 3, 4, -1],
+                                      [0, 1, 2, 3, 4]])
+def test_model_estimate_rejects_an_ordering_that_is_not_a_permutation(ordering):
+    n = 6
+    normal = sp.diags([np.full(n - 1, -1.0), np.full(n, 4.0), np.full(n - 1, -1.0)], [-1, 0, 1])
+    box = BoxConstraintState.init(np.ones(n), -np.inf, np.inf)
+    with pytest.raises(ShapeError):
+        estimate_model(normal, np.ones(n), -np.inf, np.inf, box, ordering=np.array(ordering), mode="clip")
+
+
+def test_wavefield_adjoint_product_equals_csc_product(rng):
+    # A^H b through A^T with ascending offsets sums each entry in A's row
+    # order, as the product with a CSR A's transpose does: equal to the bit
+    class Identity:
+        def solve(self, rhs):
+            return rhs
+
+    setup, problem = _box_problem()
+    m = velocity_to_slowness_sq(setup.initial_model).values
+    d = rng.standard_normal((problem.n_receivers, 2)) + 1j * rng.standard_normal((problem.n_receivers, 2))
+    b = rng.standard_normal((problem.n_pad, 2)) + 1j * rng.standard_normal((problem.n_pad, 2))
+    P = problem.P
+    for kern in problem.kernels:
+        A = kern.assemble(m)
+        expected = P.conjugate().T @ d + 0.3 * np.conj(A.tocsr().T @ np.conj(b))
+        assert np.array_equal(reconstruct_wavefield(Identity(), P, A, 0.3, d, b), expected)
 
 
 def test_problem_rejects_unknown_bounds_mode():

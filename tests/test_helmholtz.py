@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from iwri.errors import ParameterError, ShapeError
 from iwri.grid import Bounds, Grid2D, VelocityModel, build_homogeneous, velocity_to_slowness_sq
@@ -23,6 +24,13 @@ def test_pml_config_validation():
     assert np.isclose(resolved.max_damping, expected)
     explicit = PmlConfig(max_damping=123.0).resolved(grid, 2000.0)
     assert explicit.max_damping == 123.0
+    # a zero exponent damps every cell at the full rate (0**0 = 1); a
+    # non-finite exponent or damping gives a non-finite operator
+    for bad in ({"profile_exponent": 0.0}, {"profile_exponent": -1.0},
+                {"profile_exponent": np.nan}, {"profile_exponent": np.inf},
+                {"max_damping": np.nan}, {"max_damping": np.inf}):
+        with pytest.raises(ParameterError):
+            PmlConfig(**bad)
 
 
 def test_resolve_pml_reference_velocity():
@@ -45,6 +53,10 @@ def test_scheme_validation():
         StencilScheme(mass_center=0.9, mass_edge=0.1, mass_corner=0.0)
     with pytest.raises(ParameterError):
         StencilScheme(laplacian_mix=0.0)
+    for bad in ({"mass_center": np.nan, "mass_edge": 0.0},  # a NaN sum passes a sum check
+                {"mass_center": np.inf, "mass_edge": -np.inf}, {"laplacian_mix": np.nan}):
+        with pytest.raises(ParameterError):
+            StencilScheme(**bad)
     five = StencilScheme.five_point()
     assert five.laplacian_mix == 1.0 and five.mass_center == 1.0
 
@@ -91,7 +103,7 @@ def test_low_frequency_limit_reduces_to_laplacian():
     scheme = StencilScheme()
     for omega in (1e-2, 1e-4):
         kern = build_kernel(grid, omega, pml, scheme)
-        gap = abs(kern.assemble(m.values) - kern.laplacian).max()
+        gap = abs((kern.assemble(m.values) - kern.laplacian).tocsr()).max()
         assert gap <= omega**2 * m.values.max() * 1.0000001
     for omega in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ParameterError):
@@ -154,7 +166,7 @@ def test_mass_linearization_shapes_and_lumped_diagonal(rng):
     u = rng.standard_normal(n_pad) + 1j * rng.standard_normal(n_pad)
     L = kern.scaled_mass(u)
     off_diag = L - __import__("scipy.sparse", fromlist=["diags"]).diags(L.diagonal())
-    assert abs(off_diag).max() == 0.0  # lumped mass: L (hence L^H L) diagonal
+    assert abs(off_diag.tocsr()).max() == 0.0  # lumped mass: L (hence L^H L) diagonal
     with pytest.raises(ShapeError):
         kern.scaled_mass(u[:-1])
 
@@ -380,3 +392,73 @@ def test_pml_efficacy_boundary_ring():
     ring = np.concatenate([U[0, :], U[-1, :], U[:, 0], U[:, -1]])
     assert ring.max() < 1e-3 * U.max()
 
+
+def _csr_of_offset_table(grid_pad, table):
+    """Oracle: the CSR matrix whose row (iz, ix) holds each coefficient (a
+    scalar, or an (nz, nx) array read at the row) in column (iz + dz,
+    ix + dx) inside the padded grid, exact zeros dropped, repeats summed."""
+    nzp, nxp = grid_pad.nz, grid_pad.nx
+    idx = np.arange(nzp * nxp).reshape(nzp, nxp)
+    rows, cols, vals = [], [], []
+    for (dz, dx), coef in table:
+        at_row = np.s_[max(0, -dz):nzp - max(0, dz), max(0, -dx):nxp - max(0, dx)]
+        at_col = np.s_[max(0, dz):nzp - max(0, -dz), max(0, dx):nxp - max(0, -dx)]
+        v = np.broadcast_to(coef, idx.shape)[at_row]
+        keep = v != 0
+        rows.append(idx[at_row][keep])
+        cols.append(idx[at_col][keep])
+        vals.append(v[keep])
+    n = nzp * nxp
+    mat = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                        shape=(n, n))
+    mat.sum_duplicates()
+    return mat
+
+
+def _assert_same_entries(M, csr):
+    got = M.tocsr()
+    got.eliminate_zeros()
+    got.sort_indices()
+    assert got.dtype == csr.dtype
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, part), getattr(csr, part))
+
+
+def test_operators_equal_csr_built_from_offset_tables(monkeypatch, rng):
+    # on the box at its three frequencies, the diagonal-stored Lap, B, S and
+    # A(m) hold exactly the entries of CSR matrices built from the same
+    # offset tables, and no diagonal that is zero in all of them
+    import iwri.helmholtz as helmholtz
+    from iwri.presets import box_anomaly_setup
+
+    tables = []
+    built = helmholtz._offset_matrix
+    monkeypatch.setattr(helmholtz, "_offset_matrix",
+                        lambda gp, table: tables.append(table) or built(gp, table))
+    helmholtz._grid_parts.cache_clear()  # so that B's table is seen too
+    setup = box_anomaly_setup()
+    grid = setup.true_model.grid
+    pml = PmlConfig().resolved(grid, setup.bounds.v_max)
+    m = velocity_to_slowness_sq(setup.true_model).values
+    kernels = [build_kernel(grid, 2 * np.pi * f, pml, StencilScheme()) for f in setup.frequencies]
+    assert len(tables) == 4  # B once, then one Laplacian per frequency
+    gp = kernels[0].topology.grid_pad
+    B = _csr_of_offset_table(gp, tables[0])
+    r = rng.standard_normal((gp.n, 2)) + 1j * rng.standard_normal((gp.n, 2))
+    for kern, table in zip(kernels, tables[1:]):
+        lap = _csr_of_offset_table(gp, table)
+        S = sp.csr_matrix((B.data * kern.damping[B.indices], B.indices, B.indptr), shape=B.shape)
+        m_pad = kern.pad_model(m)
+        A = (lap + sp.csr_matrix((kern.omega**2 * S.data * m_pad[S.indices], S.indices, S.indptr),
+                                 shape=S.shape)).tocsr()
+        assembled = kern.assemble(m)
+        for M, csr in ((kern.stencil, B), (kern.laplacian, lap), (kern.mass_basis, S), (assembled, A)):
+            assert M.format == "dia"
+            _assert_same_entries(M, csr)
+        assert kern.stencil.offsets.size == 5
+        for M in (kern.stencil, kern.laplacian, assembled):
+            assert np.all(np.any(M.data != 0, axis=1))
+        assert np.array_equal(kern.mass_basis.offsets, kern.laplacian.offsets)
+        # B is symmetric, so B r is the oracle's B^T r to the bit
+        assert np.array_equal(kern.stencil @ r, B.T @ r)
+        _assert_same_entries(kern.stencil.T, B)

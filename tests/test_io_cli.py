@@ -170,19 +170,16 @@ def test_csv_empty_and_missing_fields(tmp_path):
 
 def test_raster_rules(tmp_path):
     path = tmp_path / "r.pgm"
-    write_raster(np.ones((4, 6)), path, scaling="minmax")
+    write_raster(np.ones((4, 6)), path)
     blob = path.read_bytes()
     assert blob.startswith(b"P5\n6 4\n255\n")
     assert set(blob[len(b"P5\n6 4\n255\n"):]) == {128}
 
     field = np.zeros((2, 3))
     field[1, :] = 1.0
-    write_raster(field, path, scaling="minmax")
+    write_raster(field, path)
     pixels = (tmp_path / "r.pgm").read_bytes()[-6:]
     assert list(pixels) == [0, 0, 0, 255, 255, 255]
-
-    write_raster(np.ones((2, 2)), path, scaling=(0.0, 2.0))
-    assert set((tmp_path / "r.pgm").read_bytes()[-4:]) == {128}
 
     with pytest.raises(FormatError):
         write_raster(np.full((2, 2), np.nan), path)
@@ -287,6 +284,11 @@ def test_cli_malformed_value_exits_before_any_work(tmp_path, capsys):
     cfg = write_config(tmp_path, extra="f0 = nan\n")
     assert cli_dispatch(["forward", "--config", str(cfg), "--out", str(tmp_path / "fwd")]) == 1
     assert capsys.readouterr().err.startswith("error: config key 'f0'")
+    assert not (tmp_path / "fwd").exists()
+    # so is a zero PML exponent, which would damp every cell (0**0 = 1)
+    cfg = write_config(tmp_path, extra="pml_exponent = 0\n")
+    assert cli_dispatch(["forward", "--config", str(cfg), "--out", str(tmp_path / "fwd")]) == 1
+    assert capsys.readouterr().err.startswith("error: profile_exponent must be finite and positive")
     assert not (tmp_path / "fwd").exists()
     # the invert flags go through the same parsers
     cfg = write_config(tmp_path, data_line="data = out/dataset.iwd\n")

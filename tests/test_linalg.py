@@ -263,26 +263,43 @@ def _spd_with_pairs(n, pairs):
 
 
 def test_layout_detects_another_pattern(rng):
-    # the diagonal map of a matrix binds its pattern, and reads any other right
+    # matrices of one pattern, of others and in other formats are each read
+    # in band order from their own entries
     n = 12
     order = np.random.default_rng(3).permutation(n)
     first = _spd_with_pairs(n, [(0, 1), (2, 3), (5, 9)])
-    read = la.DiagonalMap(first, order)
-    bound = read.indices
     b = rng.standard_normal(n)
     others = [_spd_with_pairs(n, [(0, 3), (1, 2), (5, 9)]),  # same nnz and row counts
               _spd_with_pairs(n, [(0, 1), (2, 3), (5, 9), (4, 11)]),  # more entries
               first.tocsc()]  # same matrix, other format
     for H in [first, first.copy()] + others:
-        band = read(H)
+        band = la._diagonals(H, order)
         assert band.format == "dia"
         assert np.array_equal(band.toarray(), H.toarray()[np.ix_(order, order)])
         fact = factorize(band).renumbered(order)
         assert np.linalg.norm(H @ fact.solve(b) - b) / np.linalg.norm(b) < 1e-12
         assert np.array_equal(fact._factor, factorize(H, ordering=order)._factor)
-    assert read.indices is bound  # still bound to the first pattern
     with pytest.raises(ShapeError):
         factorize(_spd_with_pairs(n + 1, []), ordering=order)
+
+
+_NOT_PERMUTATIONS = [[0, 0, 2, 3, 4, 5], [5, 4, 3, 2, 1, 1], [0, 1, 2, 3, 4, -1], [0, 1, 2, 3, 4, 6],
+                     [0, 1, 2, 3, 4]]
+
+
+@pytest.mark.parametrize("ordering", _NOT_PERMUTATIONS)
+def test_factorize_rejects_an_ordering_that_is_not_a_permutation(ordering):
+    # the first three gave a wrong solve (residual ~0.9) on this SPD tridiagonal
+    H = _spd_with_pairs(6, [(i, i + 1) for i in range(5)])
+    with pytest.raises(ShapeError):
+        factorize(H, ordering=ordering)
+
+
+@pytest.mark.parametrize("ordering", _NOT_PERMUTATIONS)
+def test_renumbered_rejects_an_ordering_that_is_not_a_permutation(ordering):
+    fact = factorize(_spd_with_pairs(6, [(i, i + 1) for i in range(5)]))
+    with pytest.raises(ShapeError):
+        fact.renumbered(ordering)
 
 
 def test_factorize_sums_duplicate_entries(rng):
