@@ -9,6 +9,7 @@ import scipy.sparse as sp
 from .errors import GeometryError, ParameterError, ShapeError
 from .grid import slowness_sq_to_velocity
 from .helmholtz import build_kernel, forward_solve, pad_topology, resolve_pml
+from .util import stacked_norm
 
 
 @dataclass(frozen=True)
@@ -188,10 +189,8 @@ def add_noise(dataset, snr_db, seed):
     for idx, block in enumerate(dataset.data):
         rng = np.random.default_rng([int(seed), idx])
         raw = rng.standard_normal(block.shape) + 1j * rng.standard_normal(block.shape)
-        signal = math.sqrt(float(np.sum(np.abs(block) ** 2)))
-        target = signal * 10.0 ** (-snr_db / 20.0)
-        raw_norm = math.sqrt(float(np.sum(np.abs(raw) ** 2)))
-        noise = raw * (target / raw_norm)
+        target = stacked_norm([block]) * 10.0 ** (-snr_db / 20.0)
+        noise = raw * (target / stacked_norm([raw]))
         noisy.append(block + noise)
         levels.append(target)
     return FrequencyDataset(

@@ -25,6 +25,7 @@ from .fileio import (_CONFIG_KEYS, RunConfig, load_config, read_dataset, read_mo
 from .grid import velocity_to_slowness_sq
 from .helmholtz import build_kernel, resolve_pml
 from .refinement import DenseProblem, accumulated_rhs_solve, iterative_refine, pseudo_inverse_solve
+from .util import stacked_norm
 from .workflow import estimate_mu1, run_batch, run_inversion
 
 
@@ -215,8 +216,7 @@ def _cmd_oracle_refine(args):
     x = pseudo_inverse_solve(problem)
     for step in range(1, args.k + 1):
         x = iterative_refine(problem, step)
-        residual = float(np.sqrt(np.sum(np.abs(b - A @ x) ** 2)))
-        print(f"step {step}: residual = {residual:.6e}")
+        print(f"step {step}: residual = {stacked_norm([b - A @ x]):.6e}")
     gap = float(np.max(np.abs(iterative_refine(problem, args.k)
                               - accumulated_rhs_solve(problem, args.k))))
     print(f"sequential vs accumulated right-hand-side gap: {gap:.3e}")

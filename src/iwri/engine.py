@@ -3,8 +3,10 @@
 Each cycle alternates two linear subproblems: a closed-form wavefield
 reconstruction (normal equations of the stacked data/wave-equation system)
 and a linearized model estimate, with scaled dual variables accumulating
-the data and source residuals between them.  Three variants share the code
-path:
+the data and source residuals between them.  The cycle maps one iterate
+(m, A(m), data duals, source duals, Bregman pair) to the next: each phase
+returns its results, and ``inner_refine`` alone writes them into the state.
+Three variants share the code path:
 
 * ``wri``  - penalty method: both duals frozen at zero.
 * ``admm`` - one full dual ascent per cycle after both primal updates.
@@ -14,7 +16,8 @@ path:
 
 The model subproblem is exactly linear because the PML damping does not
 depend on the model; bound constraints enter through a split-Bregman
-auxiliary/dual pair, one pass per outer cycle.
+auxiliary/dual pair, one pass per outer cycle: ``estimate_model`` returns
+the new pair with the model.
 """
 
 import enum
@@ -29,8 +32,8 @@ from .errors import ParameterError, ShapeError, SolverError
 from .grid import velocity_to_slowness_sq
 from .helmholtz import build_kernel, forward_solve, resolve_pml
 from .acquisition import build_observation, source_matrix
-from .linalg import FactorizationError, _diagonals, _gram, assemble_normal_matrix, factorize
-from .util import axis_minor_ordering, stacked_norm
+from .linalg import FactorizationError, _diagonals, _gram, _transpose, assemble_normal_matrix, factorize
+from .util import axis_minor_ordering, squared_norm, stacked_norm
 
 
 class Variant(enum.Enum):
@@ -60,25 +63,25 @@ class PenaltyParams:
             raise ParameterError("inner iterations are defined for the wri/prsm variants only")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DualState:
     """Scaled dual variables: running sums of data and source residuals."""
 
-    data: list    # per frequency, shape (n_receivers, n_sources)
-    source: list  # per frequency, shape (n_pad, n_sources)
+    data: tuple    # per frequency, shape (n_receivers, n_sources)
+    source: tuple  # per frequency, shape (n_pad, n_sources)
 
     @classmethod
     def zeros(cls, problem):
         shape_d = (problem.n_receivers, problem.n_sources)
         shape_b = (problem.n_pad, problem.n_sources)
-        return cls(data=[np.zeros(shape_d, dtype=complex) for _ in problem.frequencies],
-                   source=[np.zeros(shape_b, dtype=complex) for _ in problem.frequencies])
+        return cls(data=tuple(np.zeros(shape_d, dtype=complex) for _ in problem.frequencies),
+                   source=tuple(np.zeros(shape_b, dtype=complex) for _ in problem.frequencies))
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoxConstraintState:
     """Split-Bregman auxiliary variable (always inside the bounds) and its
-    Bregman dual; gamma is frozen on first use."""
+    Bregman dual; gamma is fixed by the first model solve."""
 
     p: np.ndarray
     q: np.ndarray
@@ -92,12 +95,12 @@ class BoxConstraintState:
 @dataclass
 class IterationState:
     m_values: np.ndarray
-    u: list
+    assembled: list  # A(m^k) per frequency, reused across cycles
     duals: DualState
     box: BoxConstraintState
+    u: list | None = None  # the wavefields of the last cycle
     k: int = 0
     pde_solve_count: int = 0
-    assembled: list | None = None  # A(m^k) per frequency, reused across cycles
 
 
 @dataclass
@@ -250,9 +253,8 @@ def init_state(problem, m0_values):
     m0 = np.asarray(m0_values, dtype=float).copy()
     if m0.shape[0] != problem.grid.n:
         raise ShapeError("starting model does not match the grid")
-    u0 = [np.zeros((problem.n_pad, problem.n_sources), dtype=complex)
-          for _ in problem.frequencies]
-    return IterationState(m_values=m0, u=u0, duals=DualState.zeros(problem),
+    return IterationState(m_values=m0, assembled=[kern.assemble(m0) for kern in problem.kernels],
+                          duals=DualState.zeros(problem),
                           box=BoxConstraintState.init(m0, problem.lo, problem.hi))
 
 
@@ -262,13 +264,8 @@ def init_state(problem, m0_values):
 def reconstruct_wavefield(factorization, P, A, lam, d_eff, b_eff):
     """Closed-form wavefield: minimizer of
     1/2 ||P u - d_eff||^2 + lam/2 ||A u - b_eff||^2 for a ``dia_matrix`` A.
-    A^H b is formed as conj(A^T conj(b)), A^T's diagonals being A's rolled
-    as scipy's transpose rolls them, but stored with ascending offsets: each
-    entry then sums in A's row order (scipy's transpose stores them
-    descending, and takes five times as long)."""
-    At = sp.dia_matrix((np.stack([np.roll(d, -k) for k, d in zip(A.offsets[::-1], A.data[::-1])]),
-                        -A.offsets[::-1]), shape=A.shape)
-    rhs = P.conjugate().T @ d_eff + lam * np.conj(At @ np.conj(b_eff))
+    A^H b is formed as conj(A^T conj(b)) (``linalg._transpose``)."""
+    rhs = P.conjugate().T @ d_eff + lam * np.conj(_transpose(A) @ np.conj(b_eff))
     return factorization.solve(rhs)
 
 
@@ -291,9 +288,7 @@ def update_source_dual(b_dual, b, Au, alpha):
 
 def wri_objective(A, P, u, d_eff, b_eff, lam):
     """(data term, wave-equation term) of the scaled objective, separately."""
-    data = 0.5 * float(np.sum(np.abs(P @ u - d_eff) ** 2))
-    pde = 0.5 * lam * float(np.sum(np.abs(A @ u - b_eff) ** 2))
-    return data, pde
+    return 0.5 * squared_norm(P @ u - d_eff), 0.5 * lam * squared_norm(A @ u - b_eff)
 
 
 def _mass_rmatvec(kernel, u, r):
@@ -317,14 +312,16 @@ def wri_gradient_m(kernel, m_values, u, b_eff):
 
 
 def estimate_model(normal, rhs, lo, hi, box, *, ordering=None, mode="bregman"):
-    """Solve the accumulated model normal equations under box bounds.
+    """Solve the accumulated model normal equations under box bounds;
+    returns (m, box, warn) with the next ``BoxConstraintState``.
 
     ``normal`` is N[perm][:, perm] for the band order ``ordering`` (perm;
     N itself when None); ``rhs``, the bounds and the result are in N's
     order.  ``bregman`` performs one split-Bregman pass (solve + clip +
     dual step) and emits the auxiliary variable, which is inside the bounds
-    by construction; ``clip`` solves and projects.  A singular system is
-    retried with a small diagonal shift and flagged.
+    by construction; gamma is fixed by the first solve (``box.gamma`` None).
+    ``clip`` solves and projects, and returns ``box`` as it is.  A singular
+    system is retried with a small diagonal shift and flagged.
     """
     rhs = np.asarray(rhs, dtype=float)
     perm = np.arange(normal.shape[0]) if ordering is None else ordering
@@ -332,10 +329,9 @@ def estimate_model(normal, rhs, lo, hi, box, *, ordering=None, mode="bregman"):
     warn = False
 
     if mode == "bregman":
-        if box.gamma is None:
-            box.gamma = 0.1 * diag_mean
-        system = _add_to_diagonal(normal, box.gamma)
-        full_rhs = rhs + box.gamma * (box.p - box.q)
+        gamma = 0.1 * diag_mean if box.gamma is None else box.gamma
+        system = _add_to_diagonal(normal, gamma)
+        full_rhs = rhs + gamma * (box.p - box.q)
     elif mode == "clip":
         system = normal
         full_rhs = rhs
@@ -351,10 +347,9 @@ def estimate_model(normal, rhs, lo, hi, box, *, ordering=None, mode="bregman"):
         m_raw = _factorize_in(_add_to_diagonal(system, shift), perm).solve(full_rhs)
 
     if mode == "bregman":
-        box.p = np.clip(m_raw + box.q, lo, hi)
-        box.q = box.q + m_raw - box.p
-        return box.p.copy(), warn
-    return np.clip(m_raw, lo, hi), warn
+        p = np.clip(m_raw + box.q, lo, hi)
+        return p.copy(), BoxConstraintState(p, box.q + m_raw - p, gamma), warn
+    return np.clip(m_raw, lo, hi), box, warn
 
 
 def _factorize_in(system, perm):
@@ -384,92 +379,86 @@ def _add_to_diagonal(M, value):
 def _wavefield_phase(problem, state, params, i):
     """Wavefield reconstructions at frequency i against A(m^k), each
     followed by the data-dual step and, for prsm, an alpha source-dual step.
-    Returns ||b - A u||^2 of the batch's first reconstruction, else 0."""
-    A = state.assembled[i]
-    lam = params.lambdas[i]
+    Returns (u, P u, data dual, source dual, b - A u of the batch's first
+    reconstruction, else None)."""
+    A, lam = state.assembled[i], params.lambdas[i]
     d, b = problem.observed[i], problem.sources[i]
-    duals = state.duals
+    d_dual, b_dual = state.duals.data[i], state.duals.source[i]
     try:  # H in band order, straight from the diagonals of A
         H = assemble_normal_matrix(problem.band_operator(A), problem.band_P, lam)
         fact = _factorize_in(H, problem.pad_ordering)
     except FactorizationError as exc:
         raise SolverError(f"wavefield normal-matrix factorization failed: {exc}",
                           frequency=problem.frequencies[i], iteration=state.k) from exc
-    initial_sq = 0.0
+    first = None
     for j in range(params.inner_iterations):
-        u = reconstruct_wavefield(fact, problem.P, A, lam, d + duals.data[i], b + duals.source[i])
-        state.pde_solve_count += problem.n_sources
-        Au = A @ u
+        u = reconstruct_wavefield(fact, problem.P, A, lam, d + d_dual, b + b_dual)
+        Au, Pu = A @ u, problem.P @ u
         if params.variant is not Variant.WRI:
-            duals.data[i] = update_data_dual(duals.data[i], d, problem.P @ u)
+            d_dual = update_data_dual(d_dual, d, Pu)
         if params.variant is Variant.PRSM:
-            duals.source[i] = update_source_dual(duals.source[i], b, Au, params.alpha)
+            b_dual = update_source_dual(b_dual, b, Au, params.alpha)
         if state.k == 0 and j == 0:
-            initial_sq = float(np.sum(np.abs(b - Au) ** 2))
-    state.u[i] = u
-    return initial_sq
+            first = b - Au
+    return u, Pu, d_dual, b_dual, first
 
 
-def _model_phase(problem, state, params):
-    """Model estimates at the fixed wavefields, each followed by a source-dual
-    step at the new model (alpha for prsm, the full ascent for admm).
-    Returns whether any model solve needed the singular-system shift."""
-    normal = problem.model_normal.matrix(problem.kernels, state.u)
+def _model_phase(problem, state, params, u, source_duals):
+    """Model estimates at the fixed wavefields ``u``, each followed by a
+    source-dual step at the new model (alpha for prsm, the full ascent for
+    admm).  Returns (m, A(m), A(m) u and the source dual per frequency, the
+    Bregman pair, whether any model solve needed the singular-system shift)."""
+    normal = problem.model_normal.matrix(problem.kernels, u)
     step = {Variant.WRI: None, Variant.ADMM: 1.0, Variant.PRSM: params.alpha}[params.variant]
-    duals = state.duals
-
-    warned = False
+    box, warned = state.box, False
     for _ in range(params.inner_iterations):
-        rhs = sum(_mass_rmatvec(kern, u, b + b_dual - kern.laplacian @ u)
-                  for kern, u, b, b_dual in zip(problem.kernels, state.u, problem.sources,
-                                                duals.source))
+        rhs = sum(_mass_rmatvec(kern, uf, b + b_dual - kern.laplacian @ uf)
+                  for kern, uf, b, b_dual in zip(problem.kernels, u, problem.sources, source_duals))
         try:
-            m_new, warn = estimate_model(normal, rhs, problem.lo, problem.hi, state.box,
-                                         ordering=problem.phys_ordering,
-                                         mode=problem.bounds_mode)
+            m, box, warn = estimate_model(normal, rhs, problem.lo, problem.hi, box,
+                                          ordering=problem.phys_ordering, mode=problem.bounds_mode)
         except FactorizationError as exc:
             raise SolverError(f"model update failed: {exc}", frequency=problem.frequencies,
                               iteration=state.k) from exc
-        if not np.all(np.isfinite(m_new) & (m_new > 0)):
-            raise SolverError(f"model is not finite and strictly positive: "
-                              f"min {np.min(m_new):.3e}",
+        if not np.all(np.isfinite(m) & (m > 0)):
+            raise SolverError(f"model is not finite and strictly positive: min {np.min(m):.3e}",
                               frequency=problem.frequencies, iteration=state.k)
         warned = warned or warn
-        state.m_values = m_new
-        state.assembled = [kern.assemble(m_new) for kern in problem.kernels]
+        assembled = [kern.assemble(m) for kern in problem.kernels]
+        Au = [A @ uf for A, uf in zip(assembled, u)]
         if step is not None:
-            for i, b in enumerate(problem.sources):
-                duals.source[i] = update_source_dual(duals.source[i], b,
-                                                     state.assembled[i] @ state.u[i], step)
-    return warned
+            source_duals = [update_source_dual(b_dual, b, au, step)
+                            for b_dual, b, au in zip(source_duals, problem.sources, Au)]
+    return m, assembled, Au, tuple(source_duals), box, warned
+
+
+def _norms(residuals):
+    """(stacked norm, norm of each) of the per-frequency residuals; the stack
+    sums in ``np.sum``'s order, which the convergence files have always held."""
+    sq = np.array([squared_norm(r) for r in residuals])
+    return float(np.sqrt(np.sum(sq))), np.sqrt(sq)
 
 
 def inner_refine(problem, state, params):
-    """One outer cycle: ``params.inner_iterations`` repetitions of the
-    wavefield/dual phase at every frequency, then the same number of
-    model/dual repetitions."""
+    """One outer cycle, the map from the iterate in ``state`` to the next:
+    ``params.inner_iterations`` repetitions of the wavefield/dual phase at
+    every frequency, then the same number of model/dual repetitions.  The
+    one function that writes to ``state``, once both phases have run."""
     if len(params.lambdas) != len(problem.frequencies):
         raise ShapeError("need one penalty weight per frequency")
-    if state.assembled is None:
-        state.assembled = [kern.assemble(state.m_values) for kern in problem.kernels]
-    first = state.k == 0
-    initial_sq = sum(_wavefield_phase(problem, state, params, i)
-                     for i in range(len(problem.kernels)))
-    model_warn = _model_phase(problem, state, params)
+    u, Pu, data_duals, source_duals, first = zip(
+        *(_wavefield_phase(problem, state, params, i) for i in range(len(problem.kernels))))
+    m, assembled, Au, source_duals, box, warn = _model_phase(problem, state, params, u, source_duals)
+    data_misfit, data_per_freq = _norms([pu - d for pu, d in zip(Pu, problem.observed)])
+    pde_misfit, pde_per_freq = _norms([b - au for b, au in zip(problem.sources, Au)])
+    stats = CycleStats(data_misfit, pde_misfit, data_per_freq, pde_per_freq,
+                       initial_pde_misfit=stacked_norm(first) if state.k == 0 else None,
+                       model_warning=warn)
+    state.m_values, state.assembled, state.u = m, assembled, list(u)
+    state.duals, state.box = DualState(data_duals, source_duals), box
     state.k += 1
-
-    pde_sq = np.array([float(np.sum(np.abs(b - A @ u) ** 2))
-                       for b, A, u in zip(problem.sources, state.assembled, state.u)])
-    data_sq = np.array([float(np.sum(np.abs(problem.P @ u - d) ** 2))
-                        for d, u in zip(problem.observed, state.u)])
-    return CycleStats(
-        data_misfit=float(np.sqrt(np.sum(data_sq))),
-        pde_misfit=float(np.sqrt(np.sum(pde_sq))),
-        data_misfit_per_freq=np.sqrt(data_sq),
-        pde_misfit_per_freq=np.sqrt(pde_sq),
-        initial_pde_misfit=float(np.sqrt(initial_sq)) if first else None,
-        model_warning=model_warn,
-    )
+    state.pde_solve_count += params.inner_iterations * problem.n_sources * len(problem.kernels)
+    return stats
 
 
 def wavefield_error(problem, state):
@@ -484,5 +473,4 @@ def wavefield_error(problem, state):
 def model_error(problem, state):
     if problem.m_star is None:
         return None
-    den = np.sqrt(np.sum(problem.m_star**2))
-    return float(np.sqrt(np.sum((state.m_values - problem.m_star) ** 2)) / den)
+    return stacked_norm([state.m_values - problem.m_star]) / stacked_norm([problem.m_star])

@@ -110,6 +110,16 @@ def _permutation(perm, n):
     return perm
 
 
+def _transpose(A):
+    """A^T; for a square ``dia_matrix`` A, A's diagonals rolled, with
+    ascending offsets, so a product sums each entry in A's row order
+    (scipy's transpose stores them descending, and is slower)."""
+    if not (A.format == "dia" and A.data.shape[1] == A.shape[0] == A.shape[1]):
+        return A.T
+    data = np.stack([np.roll(d, -k) for k, d in zip(A.offsets[::-1], A.data[::-1])])
+    return sp.dia_matrix((data, -A.offsets[::-1]), shape=A.shape)
+
+
 def _diagonals(M, perm=None):
     """M[perm][:, perm] (perm[new] = old; M's own order by default) as a
     ``dia_matrix`` that holds the main diagonal, read from a sparse matrix
@@ -485,7 +495,7 @@ def power_iteration_mu1(A, P):
     P = sp.csr_matrix(P)
     if P.shape[1] != A.shape[0]:
         raise ShapeError(f"P has {P.shape[1]} columns, operator dimension is {A.shape[0]}")
-    X = lu_factorize(A.conjugate().T).solve(P.conjugate().T.toarray())
+    X = lu_factorize(_transpose(A).conjugate()).solve(P.conjugate().T.toarray())
     if not np.all(np.isfinite(X)):
         raise FactorizationError("solve for mu1 is not finite")
     M = sla.blas.zherk(1.0, X, trans=2)  # X^H X, upper triangle, without a copy of X

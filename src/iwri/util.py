@@ -7,12 +7,14 @@ products so that results do not depend on the BLAS thread count.
 import numpy as np
 
 
+def squared_norm(x):
+    """sum |x|^2 over every entry of ``x``."""
+    return float(np.sum(np.abs(x) ** 2))
+
+
 def stacked_norm(arrays):
     """Frobenius norm of a collection of arrays stacked as one vector."""
-    total = 0.0
-    for a in arrays:
-        total += float(np.sum(np.abs(np.asarray(a)) ** 2))
-    return float(np.sqrt(total))
+    return float(np.sqrt(sum(map(squared_norm, arrays))))
 
 
 def axis_minor_ordering(n_rows, n_cols):

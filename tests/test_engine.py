@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -223,7 +226,7 @@ def test_estimate_model_diagonal_case(rng):
     G = sp.diags(np.abs(L_diag) ** 2).tocsr()
     g = np.real(np.conj(L_diag) * y)
     box = BoxConstraintState.init(np.zeros(n), -np.inf, np.inf)
-    m, warn = estimate_model(G, g, -np.inf, np.inf, box, mode="clip")
+    m, _, warn = estimate_model(G, g, -np.inf, np.inf, box, mode="clip")
     assert not warn
     assert np.allclose(m, np.real(np.conj(L_diag) * y) / np.abs(L_diag) ** 2, rtol=1e-12)
 
@@ -235,15 +238,15 @@ def test_estimate_model_bounds_and_singular(rng, caplog):
     G = sp.diags(np.ones(n)).tocsr()
     g = np.full(n, 10.0)
     box = BoxConstraintState.init(np.zeros(n), 0.0, 1.0)
-    m, warn = estimate_model(G, g, 0.0, 1.0, box, mode="clip")
+    m, _, warn = estimate_model(G, g, 0.0, 1.0, box, mode="clip")
     assert np.all(m <= 1.0) and not warn
-    m, warn = estimate_model(G, g, 0.0, 1.0, box, mode="bregman")
+    m, _, warn = estimate_model(G, g, 0.0, 1.0, box, mode="bregman")
     assert np.all((0.0 <= m) & (m <= 1.0))
     # singular: zero matrix falls back to a shifted solve with a warning flag
     zero = sp.csr_matrix((n, n))
     with caplog.at_level("WARNING", logger="iwri.engine"):
-        m, warn = estimate_model(zero, g, 0.0, 1.0,
-                                 BoxConstraintState.init(np.zeros(n), 0.0, 1.0), mode="clip")
+        m, _, warn = estimate_model(zero, g, 0.0, 1.0,
+                                    BoxConstraintState.init(np.zeros(n), 0.0, 1.0), mode="clip")
     assert warn
     assert [r.getMessage() for r in caplog.records] == [
         "singular model normal matrix, applying diagonal shift"]
@@ -325,6 +328,87 @@ def test_inner_refine_reduces_to_cycle_and_counts_solves():
     s3 = init_state(problem, m0.copy())
     inner_refine(problem, s3, params3)
     assert s3.pde_solve_count == 3 * 2  # three times faster growth per cycle
+
+
+_CYCLE_CASES = [(Variant.WRI, 1), (Variant.WRI, 2), (Variant.ADMM, 1), (Variant.PRSM, 1),
+                (Variant.PRSM, 2)]
+
+
+@pytest.mark.parametrize("variant, inner_n", _CYCLE_CASES, ids=lambda c: getattr(c, "value", c))
+def test_cycle_statistics_describe_the_returned_iterate(variant, inner_n):
+    # the misfits are those of (m^{k+1}, u^{k+1}) recomputed independently,
+    # and with one inner iteration the first cycle's initial misfit is
+    # ||b - A(m^0) u^1|| stacked over the frequencies
+    problem, m_true, dataset = tiny_problem(bounds=Bounds(1600.0, 2100.0), bounds_mode="bregman")
+    params = PenaltyParams(lambdas=(3.0, 1.0), variant=variant, inner_iterations=inner_n)
+    state = init_state(problem, np.full(problem.grid.n, 1.0 / 1850.0**2))
+    A0 = [kern.assemble(state.m_values) for kern in problem.kernels]
+    for k in range(3):
+        stats = inner_refine(problem, state, params)
+        for i, kern in enumerate(problem.kernels):
+            u = state.u[i]
+            pde = np.linalg.norm(problem.sources[i] - kern.assemble(state.m_values) @ u)
+            data = np.linalg.norm(problem.P @ u - problem.observed[i])
+            assert stats.pde_misfit_per_freq[i] == pytest.approx(pde, rel=1e-12)
+            assert stats.data_misfit_per_freq[i] == pytest.approx(data, rel=1e-12)
+        assert stats.pde_misfit == pytest.approx(np.linalg.norm(stats.pde_misfit_per_freq), rel=1e-12)
+        assert stats.data_misfit == pytest.approx(np.linalg.norm(stats.data_misfit_per_freq), rel=1e-12)
+        if k > 0:
+            assert stats.initial_pde_misfit is None
+        elif inner_n == 1:
+            initial = np.sqrt(sum(np.linalg.norm(b - A @ u) ** 2
+                                  for b, A, u in zip(problem.sources, A0, state.u)))
+            assert stats.initial_pde_misfit == pytest.approx(initial, rel=1e-12)
+
+
+def _equal(a, b):
+    """Deep equality of the iterate's parts: dataclasses, sequences,
+    ``dia_matrix``es, arrays and scalars."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(_equal(getattr(a, f.name), getattr(b, f.name))
+                                          for f in dataclasses.fields(a))
+    if isinstance(a, (list, tuple)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_equal, a, b))
+    if isinstance(a, sp.dia_matrix):
+        return _equal(a.offsets, b.offsets) and _equal(a.data, b.data)
+    if a is None:
+        return b is None
+    return np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("variant, inner_n", _CYCLE_CASES, ids=lambda c: getattr(c, "value", c))
+def test_cycle_leaves_the_iterate_it_was_given_untouched(variant, inner_n):
+    problem, m_true, dataset = tiny_problem(bounds=Bounds(1600.0, 2100.0), bounds_mode="bregman")
+    params = PenaltyParams(lambdas=(3.0, 1.0), variant=variant, inner_iterations=inner_n)
+    state = init_state(problem, np.full(problem.grid.n, 1.0 / 1850.0**2))
+    for _ in range(3):
+        held = (state.duals, state.box, state.m_values, state.assembled, state.u)
+        copies = copy.deepcopy(held)
+        inner_refine(problem, state, params)
+        for name, obj, before in zip(("duals", "box", "m_values", "assembled", "u"), held, copies):
+            assert _equal(obj, before), f"{name} was changed in place"
+        assert state.box is not held[1] and state.box.gamma is not None
+
+
+def test_estimate_model_returns_the_next_bregman_pair(rng):
+    n = 6
+    G = sp.diags(rng.uniform(1.0, 2.0, n)).tocsr()
+    g = rng.uniform(-5.0, 15.0, n)
+    box = BoxConstraintState.init(np.full(n, 0.5), 0.0, 1.0)
+    before = copy.deepcopy(box)
+    m, nxt, warn = estimate_model(G, g, 0.0, 1.0, box, mode="bregman")
+    assert _equal(box, before) and box.gamma is None
+    gamma = 0.1 * float(np.mean(G.diagonal()))
+    m_raw = np.linalg.solve(G.toarray() + gamma * np.eye(n), g + gamma * (box.p - box.q))
+    assert nxt.gamma == gamma and not warn
+    assert np.array_equal(m, nxt.p) and m is not nxt.p
+    assert np.allclose(nxt.p, np.clip(m_raw, 0.0, 1.0), rtol=1e-13)
+    assert np.allclose(nxt.q, m_raw - nxt.p, rtol=1e-13, atol=1e-15)
+    held = copy.deepcopy(nxt)
+    _, last, _ = estimate_model(2.0 * G, g, 0.0, 1.0, nxt, mode="bregman")
+    assert _equal(nxt, held) and last.gamma == gamma  # gamma is fixed by the first solve
+    _, same, _ = estimate_model(G, g, 0.0, 1.0, nxt, mode="clip")
+    assert same is nxt
 
 
 def _box_problem(**kwargs):

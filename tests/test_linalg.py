@@ -390,6 +390,20 @@ def test_power_iteration_scale_consistency():
     assert abs(scaled - 9.0 * base) / (9.0 * base) < 1e-12
 
 
+def test_transpose_rolls_the_diagonals_in_ascending_order(rng):
+    from tests_helpers_toy import toy_helmholtz_system
+
+    A, P = toy_helmholtz_system(nx=10, nz=8, n_receivers=2)
+    for M in (A, sp.dia_matrix(A), random_sparse(rng, 9, 9), random_sparse(rng, 4, 5)):
+        At = la._transpose(M)
+        assert np.array_equal(At.toarray(), M.toarray().T)
+    At = la._transpose(sp.dia_matrix(A))
+    assert At.format == "dia" and np.all(np.diff(At.offsets) > 0)
+    # mu1 still names a matrix that is not square
+    with pytest.raises(ShapeError):
+        power_iteration_mu1(sp.dia_matrix(A[:, :-1]), P)
+
+
 def _dense_mu1(A, P):
     """Reference: largest eigenvalue of (P A^{-1})^H (P A^{-1}), all dense."""
     PG = sp.csr_matrix(P).toarray() @ np.linalg.inv(A.toarray())
