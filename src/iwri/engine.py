@@ -324,7 +324,6 @@ def estimate_model(normal, rhs, lo, hi, box, *, ordering=None, mode="bregman"):
     system is retried with a small diagonal shift and flagged.
     """
     rhs = np.asarray(rhs, dtype=float)
-    perm = np.arange(normal.shape[0]) if ordering is None else ordering
     diag_mean = float(np.mean(normal.diagonal().real))
     warn = False
 
@@ -339,12 +338,12 @@ def estimate_model(normal, rhs, lo, hi, box, *, ordering=None, mode="bregman"):
         raise ParameterError(f"unknown bound mode {mode!r}")
 
     try:
-        m_raw = _factorize_in(system, perm).solve(full_rhs)
+        m_raw = factorize(system, ordering=ordering).solve(full_rhs)
     except FactorizationError:
         warn = True
         shift = 1e-12 * (diag_mean if diag_mean > 0 else 1.0)
         logging.getLogger(__name__).warning("singular model normal matrix, applying diagonal shift")
-        m_raw = _factorize_in(_add_to_diagonal(system, shift), perm).solve(full_rhs)
+        m_raw = factorize(_add_to_diagonal(system, shift), ordering=ordering).solve(full_rhs)
 
     if mode == "bregman":
         p = np.clip(m_raw + box.q, lo, hi)
@@ -352,22 +351,9 @@ def estimate_model(normal, rhs, lo, hi, box, *, ordering=None, mode="bregman"):
     return np.clip(m_raw, lo, hi), box, warn
 
 
-def _factorize_in(system, perm):
-    """``factorize(system).renumbered(perm)`` for system = M[perm][:, perm]:
-    a breakdown names its pivot by its index in M."""
-    try:
-        return factorize(system).renumbered(perm)
-    except FactorizationError as exc:
-        if exc.pivot_index is None:
-            raise
-        pivot = int(perm[exc.pivot_index])
-        raise FactorizationError(f"banded Cholesky breakdown at pivot {pivot}", pivot_index=pivot) from exc
-
-
 def _add_to_diagonal(M, value):
     """M + value * I as a ``dia_matrix``; M is not changed."""
-    if not (M.format == "dia" and M.data.shape[1] == M.shape[0] and 0 in M.offsets):
-        M = _diagonals(M)
+    M = _diagonals(M)
     data = M.data.copy()
     data[np.flatnonzero(M.offsets == 0)] += value
     return sp.dia_matrix((data, M.offsets), shape=M.shape)
@@ -386,7 +372,7 @@ def _wavefield_phase(problem, state, params, i):
     d_dual, b_dual = state.duals.data[i], state.duals.source[i]
     try:  # H in band order, straight from the diagonals of A
         H = assemble_normal_matrix(problem.band_operator(A), problem.band_P, lam)
-        fact = _factorize_in(H, problem.pad_ordering)
+        fact = factorize(H, ordering=problem.pad_ordering)
     except FactorizationError as exc:
         raise SolverError(f"wavefield normal-matrix factorization failed: {exc}",
                           frequency=problem.frequencies[i], iteration=state.k) from exc

@@ -2,8 +2,8 @@
 kernel, one factorization type with repeated multi-right-hand-side
 solves, and the largest eigenvalue of the data-resolution operator.
 
-``factorize`` factors a Hermitian matrix by banded Cholesky after a
-bandwidth-reducing reordering.  The band is split into two half-bands and
+``factorize`` factors a Hermitian matrix, given in a bandwidth-reducing
+order, by banded Cholesky.  The band is split into two half-bands and
 a separator as wide as the band (the two-block partition of SPIKE:
 Polizzi and Sameh 2006, Parallel Computing 32(2)); LAPACK factors and
 solves the two half-bands at once, one on the calling thread and one on a
@@ -18,7 +18,6 @@ contract: small relative residuals on repeated solves against an
 immutable factorization.
 """
 
-import copy
 import ctypes
 import os
 import threading
@@ -63,8 +62,7 @@ def assemble_normal_matrix(A, P, lam):
         raise ShapeError(f"P has {P.shape[1]} columns, A is {A.shape[0]}x{A.shape[0]}")
     if not lam > 0:
         raise ParameterError(f"penalty weight must be positive, got {lam}")
-    n, P = A.shape[0], sp.csr_matrix(P)
-    A = A if A.format == "dia" and A.data.shape[1] == n else _diagonals(A)
+    n, P, A = A.shape[0], sp.csr_matrix(P), _diagonals(A)
     offsets, data = _gram(A.data[None], A.offsets)
     data *= lam
     if np.all(np.diff(P.indptr) <= 1):  # P^H P lies on the diagonal
@@ -102,7 +100,7 @@ def _gram(x, offsets):
 
 def _permutation(perm, n):
     """``perm`` as an int64 array, once it is known to hold each index below
-    n exactly once (a bincount, not a sort: ``renumbered`` checks one per cycle)."""
+    n exactly once (a bincount, not a sort: ``factorize`` checks one per call)."""
     perm = np.asarray(perm, dtype=np.int64)
     if (perm.shape != (n,) or np.any(perm < 0)
             or not np.array_equal(np.bincount(perm, minlength=n), np.ones(n))):
@@ -120,16 +118,17 @@ def _transpose(A):
     return sp.dia_matrix((data, -A.offsets[::-1]), shape=A.shape)
 
 
-def _diagonals(M, perm=None):
-    """M[perm][:, perm] (perm[new] = old; M's own order by default) as a
-    ``dia_matrix`` that holds the main diagonal, read from a sparse matrix
-    of any format; duplicate entries add up."""
-    M, n = sp.coo_matrix(M), M.shape[0]
-    inv = np.arange(n) if perm is None else np.argsort(_permutation(perm, n))
-    rows, cols = inv[M.row], inv[M.col]
-    offsets, k = np.unique(np.append(cols - rows, 0), return_inverse=True)
+def _diagonals(M):
+    """The square matrix M as a ``dia_matrix`` that stores the main
+    diagonal: M itself when it is a full-width one, else read from a sparse
+    matrix of any format; duplicate entries add up."""
+    n = M.shape[0]
+    if M.format == "dia" and M.data.shape[1] == n and 0 in M.offsets:
+        return M
+    M = sp.coo_matrix(M)
+    offsets, k = np.unique(np.append(M.col - M.row, 0), return_inverse=True)
     data = np.zeros((offsets.size, n), dtype=M.dtype)
-    np.add.at(data, (k[:-1], cols), M.data)
+    np.add.at(data, (k[:-1], M.col), M.data)
     return sp.dia_matrix((data, offsets), shape=M.shape)
 
 
@@ -382,13 +381,6 @@ class SparseFactorization:
         self._lock = threading.Lock() if lu is not None else None
         self._parallel = parallel
 
-    def renumbered(self, perm):
-        """The same factors, for the matrix M with M[perm][:, perm] the one
-        factored: ``solve`` then takes and returns vectors in M's order."""
-        other = copy.copy(self)
-        other._order = _permutation(perm, self.n)[self._order]
-        return other
-
     def solve(self, rhs):
         rhs = np.asarray(rhs)
         if rhs.shape[0] != self.n:
@@ -412,27 +404,29 @@ class SparseFactorization:
 
 
 def factorize(H, ordering=None):
-    """Factor a sparse Hermitian (numerically positive definite) matrix.
+    """Factor a sparse Hermitian (numerically positive definite) matrix M
+    given in band order: H = M[perm][:, perm] for the bandwidth-reducing
+    ``ordering`` perm (perm[new] = old), H = M without one.
 
-    ``ordering`` optionally supplies a bandwidth-reducing permutation
-    (perm[new] = old), which the banded factor uses as given; without one
-    H's own order is the band order.  H is read as a ``dia_matrix``
-    (``_diagonals``, unless it is one already in band order), and every
+    ``solve`` takes and returns vectors in M's order, and a breakdown's
+    ``pivot_index`` is the index in M of the first pivot that is not
+    positive.  H is read as a ``dia_matrix`` (``_diagonals``), and every
     part of the split band is written from its diagonals.  Falls back to
-    sparse LU when banded storage would be too large.  A breakdown's
-    ``pivot_index`` is the index in H of the first pivot that is not
-    positive.
+    sparse LU of H, solved through the same ordering, when banded storage
+    would be too large.
     """
     if H.shape[0] != H.shape[1]:
         raise ShapeError(f"matrix must be square, got {H.shape}")
     n = H.shape[0]
     dtype = np.dtype(complex if np.iscomplexobj(H.data) else float)
-    system = _band_system(H, ordering, dtype)
+    perm = np.arange(n) if ordering is None else _permutation(ordering, n)
+    system = _band_system(H, dtype)
     if system is None:
-        return SparseFactorization("splu", n, dtype, lu=_splu(H, dtype, 0.01))
-    split, order, band = system
+        return SparseFactorization("splu", n, dtype, order=perm, lu=_splu(H, dtype, 0.01))
+    split, band = system
     flat, parallel = np.empty(split.size, dtype=dtype), _parallel()
     pivot = split.factor(flat, band.offsets, band.data, parallel)
+    order = perm[split.band_index()]
     if pivot is not None:
         raise FactorizationError(f"banded Cholesky breakdown at pivot {order[pivot]}",
                                  pivot_index=int(order[pivot]))
@@ -440,18 +434,15 @@ def factorize(H, ordering=None):
                                parallel=parallel)
 
 
-def _band_system(H, ordering, dtype):
-    """(split, order, band) for the banded factor of H: the ``BandSplit``,
-    the index in H of each block-layout unknown and H in band order as a
-    ``dia_matrix``.  None when the split buffer would be larger than
+def _band_system(H, dtype):
+    """(split, band) for the banded factor of H: the ``BandSplit`` and H as
+    a ``dia_matrix``.  None when the split buffer would be larger than
     ``_MAX_BAND_BYTES``."""
-    n = H.shape[0]
-    perm = np.arange(n) if ordering is None else _permutation(ordering, n)
-    band = H if ordering is None and H.format == "dia" and H.data.shape[1] == n else _diagonals(H, perm)
-    split = BandSplit(n, int(np.max(np.abs(band.offsets), initial=0)))
+    band = _diagonals(H)
+    split = BandSplit(H.shape[0], int(np.max(np.abs(band.offsets), initial=0)))
     if split.size * dtype.itemsize > _MAX_BAND_BYTES:
         return None
-    return split, perm[split.band_index()], band
+    return split, band
 
 
 def _splu(M, dtype, diag_pivot_thresh):

@@ -48,11 +48,11 @@ def split_buffer_oracle(H, ordering, dtype):
     return flat
 
 
-def filled_split_buffer(H, ordering, dtype):
-    """The split buffer that ``factorize`` writes from H's diagonals before
-    it factors: both blocks and the separator.  An entry left unwritten
-    stays NaN."""
-    split, _, band = la._band_system(H, ordering, np.dtype(dtype))
+def filled_split_buffer(H, dtype):
+    """The split buffer that ``factorize`` writes from the diagonals of H
+    (in band order) before it factors: both blocks and the separator.  An
+    entry left unwritten stays NaN."""
+    split, band = la._band_system(H, np.dtype(dtype))
     flat = np.full(split.size, np.nan, dtype=dtype)
     for k in (0, 1, 2):
         split.fill(flat, k, band.offsets, band.data)
