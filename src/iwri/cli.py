@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .acquisition import add_noise, build_observation, synthesize_data
-from .errors import ConfigError, FactorizationError, IwriError, SolverError
+from .errors import ConfigError, FactorizationError, IwriError, ParameterError, SolverError
 from .fileio import (_CONFIG_KEYS, RunConfig, load_config, read_dataset, read_model_file,
                      write_convergence_csv, write_dataset, write_model_file, write_raster)
 from .grid import velocity_to_slowness_sq
@@ -68,7 +68,9 @@ def _build_parser():
     return parser
 
 
-def _write_metadata(out_dir, payload):
+def _write_metadata(out_dir, command, config, **fields):
+    """``metadata.json``: the command, resolved config and version, then the command's ``fields``."""
+    payload = {"command": command, "config": config.resolved(), "version": __version__, **fields}
     (out_dir / "metadata.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="ascii")
 
@@ -83,8 +85,8 @@ def _apply_overrides(config, args):
 
 def _cmd_forward(args):
     config = load_config(args.config)
-    true_model = read_model_file(config.path("true_model"))
     geometry, frequencies, settings = config.geometry(), config.frequencies(), config.settings()
+    true_model = read_model_file(config.path("true_model"))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset = synthesize_data(velocity_to_slowness_sq(true_model), geometry, frequencies,
@@ -92,13 +94,8 @@ def _cmd_forward(args):
     snr = config.snr_db()
     dataset = add_noise(dataset, snr, config.value("noise_seed"))
     write_dataset(dataset, out_dir / "dataset.iwd")
-    _write_metadata(out_dir, {
-        "command": "forward",
-        "config": config.resolved(),
-        "snr_db": None if math.isinf(snr) else snr,
-        "n_frequencies": dataset.n_frequencies,
-        "version": __version__,
-    })
+    _write_metadata(out_dir, "forward", config, snr_db=None if math.isinf(snr) else snr,
+                    n_frequencies=dataset.n_frequencies)
     print(f"wrote {out_dir / 'dataset.iwd'} "
           f"({dataset.n_frequencies} frequencies, {dataset.geometry.n_sources} sources, "
           f"{dataset.geometry.n_receivers} receivers)")
@@ -107,10 +104,10 @@ def _cmd_forward(args):
 
 def _cmd_invert(args):
     config = _apply_overrides(load_config(args.config), args)
+    settings, criteria, plan = config.settings(), config.criteria(), config.plan()
     initial = read_model_file(config.path("initial_model"))
     dataset = read_dataset(config.path("data"))
     m_true = read_model_file(config.path("true_model")) if config.has("true_model") else None
-    settings, criteria, plan = config.settings(), config.criteria(), config.plan()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -130,13 +127,7 @@ def _cmd_invert(args):
     for br in result.batches:
         name = f"convergence_p{br.path}_b{br.batch_index}.csv"
         write_convergence_csv(br.record, out_dir / name)
-    _write_metadata(out_dir, {
-        "command": "invert",
-        "config": config.resolved(),
-        "run": result.metadata,
-        "wall_seconds": elapsed,
-        "version": __version__,
-    })
+    _write_metadata(out_dir, "invert", config, run=result.metadata, wall_seconds=elapsed)
     print(f"inversion finished after {result.metadata['iterations_total']} iterations "
           f"({elapsed:.1f} s); model written to {out_dir / 'final_model.mod'}")
     return 0
@@ -144,11 +135,11 @@ def _cmd_invert(args):
 
 def _cmd_mu1(args):
     config = load_config(args.config)
+    settings = config.settings()
     model_key = "initial_model" if config.has("initial_model") else "true_model"
     model = read_model_file(config.path(model_key))
     m = velocity_to_slowness_sq(model)
     m_true = read_model_file(config.path("true_model")) if config.has("true_model") else None
-    settings = config.settings()
     pml = resolve_pml(settings.pml, model.grid, settings.bounds, m_true)
     kernel = build_kernel(model.grid, 2.0 * math.pi * args.freq, pml, settings.scheme)
     P = build_observation(kernel.topology, config.geometry().receivers)
@@ -169,25 +160,24 @@ def _cmd_mu1(args):
 
 def _cmd_scan_lambda(args):
     config = load_config(args.config)
-    try:
-        fractions = [float(v) for v in args.fractions.split(",") if v]
-    except ValueError as exc:
+    base, criteria = config.settings(), config.criteria()
+    try:  # each fraction is checked as the lambda_fraction of its run, before any run
+        runs = [replace(base, lambda_fraction=float(v)) for v in args.fractions.split(",") if v]
+    except (ValueError, ParameterError) as exc:
         raise ConfigError(f"--fractions: {exc}") from exc
-    if not fractions:
+    if not runs:
         raise ConfigError("--fractions must list at least one value")
 
     initial = read_model_file(config.path("initial_model"))
     dataset = read_dataset(config.path("data"))
     m_true = read_model_file(config.path("true_model")) if config.has("true_model") else None
-    base = config.settings()
-    criteria = config.criteria()
     m0 = velocity_to_slowness_sq(initial)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     summary = ["fraction,iterations,stop_reason,final_pde_misfit,final_data_misfit,final_model_error"]
-    for fraction in fractions:
-        settings = replace(base, lambda_fraction=fraction)
+    for settings in runs:
+        fraction = settings.lambda_fraction
         _, record, info = run_batch(m0, dataset, settings, criteria, m_true=m_true,
                                     pde_stop_fraction=1e-3)
         tag = f"{fraction:.3e}".replace("+", "")
@@ -201,8 +191,7 @@ def _cmd_scan_lambda(args):
         print(f"fraction {fraction:.3e}: {info.iterations} iterations "
               f"({info.stop_reason.value})")
     (out_dir / "scan_summary.csv").write_text("\n".join(summary) + "\n", encoding="ascii")
-    _write_metadata(out_dir, {"command": "scan-lambda", "config": config.resolved(),
-                              "fractions": fractions, "version": __version__})
+    _write_metadata(out_dir, "scan-lambda", config, fractions=[s.lambda_fraction for s in runs])
     return 0
 
 

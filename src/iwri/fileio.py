@@ -226,6 +226,15 @@ def _float_or(word, value, allowed=()):
     return lambda text: value if text.lower() == word else _real(text, allowed)
 
 
+def _checked(parse, ok, rule):
+    """Parser of a value of ``parse`` that passes ``ok``, which ``rule`` names."""
+    def run(text):
+        if not ok(value := parse(text)):
+            raise ValueError(f"expected {rule}, got {text!r}")
+        return value
+    return run
+
+
 def _choice(*options):
     def parse(text):
         if text not in options:
@@ -252,7 +261,7 @@ _CONFIG_KEYS = {
     "frequencies": (None, _floats),
     "batches": (None, lambda text: tuple(_floats(part) for part in text.split("|"))),
     "paths": ("0", lambda text: tuple(int(v) for v in text.split())),
-    "f0": ("5.0", _real),
+    "f0": ("5.0", _checked(_real, lambda v: v > 0, "a positive number")),
     "variant": ("prsm", lambda text: Variant(text.lower())),
     "lambda_fraction": ("1e-4", _real),
     "alpha": ("0.5", _real),
@@ -268,7 +277,7 @@ _CONFIG_KEYS = {
     "delta": ("1e-3", _real),
     "eps_n": ("auto", _float_or("auto", None)),
     "snr_db": ("inf", _float_or("none", math.inf, allowed=(math.inf,))),  # inf: noiseless
-    "noise_seed": ("0", int),
+    "noise_seed": ("0", _checked(int, lambda v: v >= 0, "a nonnegative integer")),
 }
 
 

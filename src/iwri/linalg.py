@@ -55,7 +55,8 @@ os.register_at_fork(after_in_child=_start_worker)
 def assemble_normal_matrix(A, P, lam):
     """H = P^H P + lam * A^H A as a ``dia_matrix`` in the index order of A
     and P, Hermitian positive definite for lam > 0 and invertible A (a
-    ``dia_matrix`` A is read as stored, zero outside A)."""
+    ``dia_matrix`` A is read as stored, zero outside A).  P samples: it
+    holds at most one entry in each row, so P^H P is H's main diagonal."""
     if A.shape[0] != A.shape[1]:
         raise ShapeError(f"A must be square, got {A.shape}")
     if P.shape[1] != A.shape[0]:
@@ -63,13 +64,12 @@ def assemble_normal_matrix(A, P, lam):
     if not lam > 0:
         raise ParameterError(f"penalty weight must be positive, got {lam}")
     n, P, A = A.shape[0], sp.csr_matrix(P), _diagonals(A)
+    if np.any(np.diff(P.indptr) > 1):
+        raise ShapeError("P must sample: at most one entry in each row, so P^H P is diagonal")
     offsets, data = _gram(A.data[None], A.offsets)
     data *= lam
-    if np.all(np.diff(P.indptr) <= 1):  # P^H P lies on the diagonal
-        data[offsets.size // 2] += np.bincount(P.indices, weights=np.abs(P.data) ** 2, minlength=n)
-        return sp.dia_matrix((data, offsets), shape=(n, n))
-    H = sp.dia_matrix((data, offsets), shape=(n, n)) + P.conjugate().T @ P  # P^H P off the diagonal
-    return _diagonals(H)
+    data[offsets.size // 2] += np.bincount(P.indices, weights=np.abs(P.data) ** 2, minlength=n)
+    return sp.dia_matrix((data, offsets), shape=(n, n))
 
 
 def _gram(x, offsets):
@@ -412,18 +412,18 @@ def factorize(H, ordering=None):
     ``pivot_index`` is the index in M of the first pivot that is not
     positive.  H is read as a ``dia_matrix`` (``_diagonals``), and every
     part of the split band is written from its diagonals.  Falls back to
-    sparse LU of H, solved through the same ordering, when banded storage
-    would be too large.
+    sparse LU of H, solved through the same ordering, when the split
+    buffer would be larger than ``_MAX_BAND_BYTES``.
     """
     if H.shape[0] != H.shape[1]:
         raise ShapeError(f"matrix must be square, got {H.shape}")
     n = H.shape[0]
     dtype = np.dtype(complex if np.iscomplexobj(H.data) else float)
     perm = np.arange(n) if ordering is None else _permutation(ordering, n)
-    system = _band_system(H, dtype)
-    if system is None:
+    band = _diagonals(H)
+    split = BandSplit(n, int(np.max(np.abs(band.offsets), initial=0)))
+    if split.size * dtype.itemsize > _MAX_BAND_BYTES:
         return SparseFactorization("splu", n, dtype, order=perm, lu=_splu(H, dtype, 0.01))
-    split, band = system
     flat, parallel = np.empty(split.size, dtype=dtype), _parallel()
     pivot = split.factor(flat, band.offsets, band.data, parallel)
     order = perm[split.band_index()]
@@ -432,17 +432,6 @@ def factorize(H, ordering=None):
                                  pivot_index=int(order[pivot]))
     return SparseFactorization("banded", n, dtype, split=split, factor=flat, order=order,
                                parallel=parallel)
-
-
-def _band_system(H, dtype):
-    """(split, band) for the banded factor of H: the ``BandSplit`` and H as
-    a ``dia_matrix``.  None when the split buffer would be larger than
-    ``_MAX_BAND_BYTES``."""
-    band = _diagonals(H)
-    split = BandSplit(H.shape[0], int(np.max(np.abs(band.offsets), initial=0)))
-    if split.size * dtype.itemsize > _MAX_BAND_BYTES:
-        return None
-    return split, band
 
 
 def _splu(M, dtype, diag_pivot_thresh):

@@ -129,6 +129,10 @@ class InversionSettings:
     pml: PmlConfig = PmlConfig()
     scheme: StencilScheme = StencilScheme()
 
+    def __post_init__(self):
+        # PenaltyParams' checks, run before any batch (a batch's weights are mu1 * lambda_fraction)
+        PenaltyParams((self.lambda_fraction,), self.alpha, self.variant, self.inner_iterations)
+
 
 def estimate_mu1(kernel, m_values, P):
     """Largest eigenvalue of A(m)^{-H} P^H P A(m)^{-1}."""

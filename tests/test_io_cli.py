@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import iwri
+import iwri.cli
 import iwri.engine
 from iwri.errors import ConfigError, FactorizationError, FormatError
 from iwri.grid import Grid2D, VelocityModel, build_homogeneous, velocity_to_slowness_sq
@@ -302,6 +303,34 @@ def test_cli_malformed_value_exits_before_any_work(tmp_path, capsys):
     assert cli_dispatch(["forward", "--config", str(cfg), "--out", str(tmp_path / "fwd")]) == 1
     assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'true.mod'}: ")
     assert not (tmp_path / "fwd").exists()
+
+
+_BAD_RUN_SETTINGS = [
+    (["invert", "--alpha", "2"], ""),
+    (["invert", "--lambda-fraction", "-1"], ""),
+    (["invert", "--inner-n", "0"], ""),
+    (["invert", "--variant", "admm", "--inner-n", "2"], ""),
+    (["forward"], "f0 = 0\n"),
+    (["forward"], "snr_db = 20\nnoise_seed = -1\n"),
+    (["scan-lambda", "--fractions", "1e-4,-1"], ""),  # no fraction runs, not even the first
+    (["scan-lambda", "--fractions", "nan"], ""),
+]
+
+
+@pytest.mark.parametrize("argv,extra", _BAD_RUN_SETTINGS)
+def test_cli_bad_run_setting_exits_before_reading_inputs(tmp_path, monkeypatch, capsys, argv, extra):
+    def read(path):
+        raise AssertionError(f"input {path} read before the run settings were checked")
+
+    for reader in ("read_model_file", "read_dataset"):
+        monkeypatch.setattr(iwri.cli, reader, read)
+    seed_models(tmp_path)
+    cfg = write_config(tmp_path, extra=extra, data_line="data = true.mod\n")
+    out = tmp_path / "out"
+    assert cli_dispatch([argv[0], "--config", str(cfg), "--out", str(out), *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("word,free", [("true", True), ("Yes", True), ("1", True),

@@ -17,6 +17,15 @@ def random_sparse(rng, rows, cols, density=0.3):
     return sp.csr_matrix(dense)
 
 
+def random_sampling(rng, rows, cols):
+    """A sampling matrix: one random column and complex weight in each row;
+    the last row samples the first row's column, so a column repeats."""
+    weights = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
+    columns = rng.integers(0, cols, rows)
+    columns[-1] = columns[0]
+    return sp.csr_matrix((weights, (np.arange(rows), columns)), shape=(rows, cols))
+
+
 def test_normal_matrix_hand_example():
     A = sp.identity(2, format="csr", dtype=complex)
     P = sp.csr_matrix(np.array([[1.0, 0.0]]))
@@ -26,7 +35,7 @@ def test_normal_matrix_hand_example():
 
 def test_normal_matrix_linear_in_lambda(rng):
     A = random_sparse(rng, 6, 6)
-    P = random_sparse(rng, 2, 6)
+    P = random_sampling(rng, 2, 6)
     PtP = (P.conjugate().T @ P).toarray()
     H1 = assemble_normal_matrix(A, P, 3.0).toarray()
     H2 = assemble_normal_matrix(A, P, 6.0).toarray()
@@ -35,7 +44,7 @@ def test_normal_matrix_linear_in_lambda(rng):
 
 def test_normal_matrix_matches_dense_oracle(rng):
     A = random_sparse(rng, 20, 20)
-    P = random_sparse(rng, 5, 20)
+    P = random_sampling(rng, 5, 20)
     lam = 0.37
     H = assemble_normal_matrix(A, P, lam).toarray()
     Ad, Pd = A.toarray(), P.toarray()
@@ -45,7 +54,7 @@ def test_normal_matrix_matches_dense_oracle(rng):
 
 def test_normal_matrix_hermitian(rng):
     A = random_sparse(rng, 25, 25)
-    P = random_sparse(rng, 4, 25)
+    P = random_sampling(rng, 4, 25)
     H = assemble_normal_matrix(A, P, 2.5)
     assert np.max(np.abs((H - H.conjugate().T).toarray())) < 1e-12
 
@@ -57,6 +66,10 @@ def test_normal_matrix_shape_errors(rng):
         assemble_normal_matrix(random_sparse(rng, 4, 4), random_sparse(rng, 2, 5), 1.0)
     with pytest.raises(ParameterError):
         assemble_normal_matrix(random_sparse(rng, 4, 4), random_sparse(rng, 2, 4), 0.0)
+    # two entries in one row: P^H P would leave the diagonal
+    two = sp.csr_matrix(([1.0, 1.0, 1.0], ([0, 0, 1], [0, 2, 3])), shape=(2, 4))
+    with pytest.raises(ShapeError, match="at most one entry in each row"):
+        assemble_normal_matrix(random_sparse(rng, 4, 4), two, 1.0)
 
 
 def hermitian_pd(rng, n):
@@ -101,6 +114,17 @@ def test_factorize_splu_backend_agrees(rng, monkeypatch):
         x_splu = fact.solve(b)
         assert np.linalg.norm(x_banded - x_splu) / np.linalg.norm(x_banded) < 1e-9
         assert np.linalg.norm(M @ x_splu - b) / np.linalg.norm(b) < 1e-9
+
+
+def test_backend_choice_at_band_byte_limit(rng, monkeypatch):
+    # banded while the split buffer fits _MAX_BAND_BYTES exactly, SuperLU one byte below
+    for H in (hermitian_pd(rng, 12), _spd_with_pairs(30, [(i, i + 5) for i in range(25)])):
+        coo = H.tocoo()
+        split = la.BandSplit(H.shape[0], int(np.max(np.abs(coo.row - coo.col))))
+        for limit, backend in ((split.size * H.dtype.itemsize, "banded"),
+                               (split.size * H.dtype.itemsize - 1, "splu")):
+            monkeypatch.setattr(la, "_MAX_BAND_BYTES", limit)
+            assert factorize(H)._backend == backend, (H.dtype, limit)
 
 
 def test_splu_fallback_keeps_real_systems_real(rng, monkeypatch):

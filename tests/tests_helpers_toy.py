@@ -52,7 +52,8 @@ def filled_split_buffer(H, dtype):
     """The split buffer that ``factorize`` writes from the diagonals of H
     (in band order) before it factors: both blocks and the separator.  An
     entry left unwritten stays NaN."""
-    split, band = la._band_system(H, np.dtype(dtype))
+    band = la._diagonals(H)
+    split = la.BandSplit(H.shape[0], int(np.max(np.abs(band.offsets), initial=0)))
     flat = np.full(split.size, np.nan, dtype=dtype)
     for k in (0, 1, 2):
         split.fill(flat, k, band.offsets, band.data)
