@@ -30,10 +30,10 @@ import scipy.sparse as sp
 
 from .errors import ParameterError, ShapeError, SolverError
 from .grid import velocity_to_slowness_sq
-from .helmholtz import build_kernel, forward_solve, resolve_pml
+from .helmholtz import band_numbering, build_kernel, forward_solve, resolve_pml
 from .acquisition import build_observation, source_matrix
 from .linalg import FactorizationError, _diagonals, _gram, _transpose, assemble_normal_matrix, factorize
-from .util import axis_minor_ordering, squared_norm, stacked_norm
+from .util import squared_norm, stacked_norm
 
 
 class Variant(enum.Enum):
@@ -157,39 +157,16 @@ class ModelNormalPlan:
 _PLANS = None, None  # (key, plans) of the last grid, PML and scheme
 
 
-def _band_reader(kernel, perm):
-    """The function reading an A(m) on ``kernel``'s offsets in the band
-    order ``perm`` (perm[new] = old) as a ``dia_matrix``: one fixed gather
-    of A's diagonals, each of which the band order moves onto one band
-    diagonal (checked on the nonzero entries of Lap and S)."""
-    offsets, inv = kernel.laplacian.offsets, np.argsort(perm)
-    nonzero = (kernel.laplacian.data != 0) | (kernel.mass_basis.data != 0)
-    moved = [np.unique(inv[j] - inv[j - k]) for k, j in zip(offsets, map(np.flatnonzero, nonzero))]
-    if any(band.size != 1 for band in moved):
-        raise ValueError("a diagonal of the padded grid spans several band diagonals")
-    order = np.argsort(np.concatenate(moved))
-    band_offsets, index = np.concatenate(moved)[order], order[:, None] * perm.size + perm
-
-    def read(A):
-        if not np.array_equal(A.offsets, offsets):
-            raise ValueError(f"A's offsets {A.offsets} are not the band reader's {offsets}")
-        return sp.dia_matrix((np.take(A.data, index), band_offsets), shape=A.shape)
-
-    return read
-
-
 def _band_plans(grid, pml, scheme, kernel):
-    """The band orders of the padded and the physical grid, the reader of
-    A(m) in band order and the model normal plan.  They depend only on the
-    grid, the resolved PML and the scheme (``kernel`` is any kernel on
-    them), so one build serves every batch."""
+    """The physical grid's band order (``band_numbering``) and the model
+    normal plan: they depend only on the grid, the resolved PML and the
+    scheme (``kernel`` is any kernel on them), so one build serves all batches."""
     global _PLANS
     key, plans = _PLANS
     if key != (grid, pml, scheme):
-        pad, phys = (axis_minor_ordering(g.nz, g.nx) if g.nz < g.nx else np.arange(g.n)
-                     for g in (kernel.topology.grid_pad, grid))
-        pad.flags.writeable = phys.flags.writeable = False  # shared by problems
-        plans = pad, phys, _band_reader(kernel, pad), ModelNormalPlan(kernel, phys)
+        phys = np.arange(grid.n).reshape(grid.nz, grid.nx).ravel(band_numbering(grid.nz, grid.nx))
+        phys.flags.writeable = False  # shared by problems
+        plans = phys, ModelNormalPlan(kernel, phys)
         _PLANS = (grid, pml, scheme), plans
     return plans
 
@@ -213,8 +190,7 @@ class InversionProblem:
         self.pml = resolve_pml(pml, grid, bounds, m_true)
         self.kernels = [build_kernel(grid, 2.0 * np.pi * f, self.pml, scheme)
                         for f in dataset.frequencies]
-        topo = self.kernels[0].topology
-        self.topology = topo
+        self.topology = topo = self.kernels[0].topology
         self.P = build_observation(topo, self.geometry.receivers)
         self.sources = [source_matrix(topo, self.geometry.sources, amp)
                         for amp in dataset.source_scale]
@@ -224,10 +200,10 @@ class InversionProblem:
         else:
             self.lo, self.hi = -np.inf, np.inf
 
-        # band orders (perm[new] = old) of the wavefield and the model systems
-        self.pad_ordering, self.phys_ordering, self.band_operator, self.model_normal = \
-            _band_plans(grid, self.pml, scheme, self.kernels[0])
-        self.band_P = self.P[:, self.pad_ordering]
+        # band orders (perm[new] = old) of the model and the wavefield system (the identity)
+        self.phys_ordering, self.model_normal = _band_plans(grid, self.pml, scheme, self.kernels[0])
+        self.pad_ordering = np.arange(topo.n_pad)  # only perfbench/worker.py reads it
+        self.pad_ordering.flags.writeable = False
 
         self.m_star = None
         self.u_star = None
@@ -370,11 +346,14 @@ def _wavefield_phase(problem, state, params, i):
     A, lam = state.assembled[i], params.lambdas[i]
     d, b = problem.observed[i], problem.sources[i]
     d_dual, b_dual = state.duals.data[i], state.duals.source[i]
-    try:  # H in band order, straight from the diagonals of A
-        H = assemble_normal_matrix(problem.band_operator(A), problem.band_P, lam)
-        fact = factorize(H, ordering=problem.pad_ordering)
+    try:  # H is in band order, as A is; passed on unnamed, so it is freed before the solves
+        fact = factorize(assemble_normal_matrix(A, problem.P, lam))
     except FactorizationError as exc:
-        raise SolverError(f"wavefield normal-matrix factorization failed: {exc}",
+        gp, at = problem.topology.grid_pad, ""
+        if exc.pivot_index is not None:  # the flat index's cell depends on the grid's shape
+            iz, ix = np.unravel_index(exc.pivot_index, (gp.nz, gp.nx), order=problem.topology.order)
+            at = f", padded cell (ix, iz) = ({ix}, {iz})"
+        raise SolverError(f"wavefield normal-matrix factorization failed: {exc}{at}",
                           frequency=problem.frequencies[i], iteration=state.k) from exc
     first = None
     for j in range(params.inner_iterations):

@@ -15,7 +15,8 @@ The PML enters the equation in multiplied-through form: with per-axis
 stretch factors ``s = 1 + i*sigma/omega`` the Laplacian coefficients carry
 ``s_z/s_x`` (x-direction) and ``s_x/s_z`` (z-direction) at cell faces, and
 the mass term carries ``c = s_x*s_z`` per cell.  The outer boundary of the
-padded grid is homogeneous Dirichlet.
+padded grid is homogeneous Dirichlet.  The padded grid is numbered in band
+order (``band_numbering``), so its operators come in their band factor's order.
 
 The 9-point scheme blends the axis-aligned 5-point Laplacian with its
 45-degree rotated counterpart and spreads the mass term over center and
@@ -128,14 +129,21 @@ class StencilScheme:
         return cls(laplacian_mix=1.0, mass_center=1.0, mass_edge=0.0, mass_corner=0.0)
 
 
+def band_numbering(nz, nx):
+    """``np.ravel``'s order giving an nz x nx grid's stencils the narrower band: the
+    shorter axis varies fastest, z ("F") when nz < nx, else x ("C", row-major)."""
+    return "F" if nz < nx else "C"
+
+
 @dataclass(frozen=True)
 class PaddedTopology:
-    """Index bookkeeping between the physical grid and the PML-padded grid."""
+    """Index maps between the physical grid and the PML-padded grid."""
 
     grid: Grid2D
     grid_pad: Grid2D
     phys_of_pad: np.ndarray  # physical cell replicated into each padded cell
     pad_of_phys: np.ndarray  # padded index of each physical cell
+    order: str  # the padded grid's numbering, ``band_numbering`` of its shape
 
     @property
     def n_pad(self):
@@ -149,9 +157,10 @@ def pad_topology(grid, pml):
     phys_of_pad = np.pad(np.arange(grid.n).reshape(grid.nz, grid.nx),
                          ((top, bottom), (left, right)), mode="edge")
     nz_pad, nx_pad = phys_of_pad.shape
-    pad_index = np.arange(nz_pad * nx_pad).reshape(nz_pad, nx_pad)
-    return PaddedTopology(grid, Grid2D(nx_pad, nz_pad, grid.dx, grid.dz), phys_of_pad.ravel(),
-                          pad_index[top:top + grid.nz, left:left + grid.nx].ravel())
+    order = band_numbering(nz_pad, nx_pad)
+    pad_index = np.arange(nz_pad * nx_pad).reshape((nz_pad, nx_pad), order=order)
+    return PaddedTopology(grid, Grid2D(nx_pad, nz_pad, grid.dx, grid.dz), phys_of_pad.ravel(order),
+                          pad_index[top:top + grid.nz, left:left + grid.nx].ravel(), order)
 
 
 def _axis_damping(n_cells, spacing, n_layers, lo_on, hi_on, sigma_max, exponent):
@@ -175,22 +184,24 @@ def _axis_damping(n_cells, spacing, n_layers, lo_on, hi_on, sigma_max, exponent)
     return profile(centers), profile(faces)
 
 
-def _offset_matrix(grid_pad, table):
-    """``dia_matrix`` on the padded grid from ``((dz, dx), coefficient)``
-    pairs: row (iz, ix) holds the coefficient (a scalar, or an (nz, nx)
-    array read at the row) in column (iz + dz, ix + dx).  Neighbours in the
-    Dirichlet ring outside the grid are dropped, repeated offsets add up and
-    all-zero diagonals are not stored."""
-    nzp, nxp = grid_pad.nz, grid_pad.nx
+def _offset_matrix(topology, table):
+    """``dia_matrix`` on the padded grid, in the topology's numbering, from
+    ``((dz, dx), coefficient)`` pairs: row (iz, ix) holds the coefficient (a
+    scalar, or an (nz, nx) array read at the row) in column (iz + dz, ix + dx).
+    Neighbours in the Dirichlet ring outside the grid are dropped, repeated
+    offsets add up and all-zero diagonals are not stored."""
+    nzp, nxp = topology.grid_pad.nz, topology.grid_pad.nx
+    s_z, s_x = (1, nzp) if topology.order == "F" else (nxp, 1)  # index steps down and right
     dtype = np.result_type(*(coef for _, coef in table))
-    diagonals = {}  # offset dz * nx + dx -> its entries by column, as a dia_matrix stores them
+    diagonals = {}  # offset -> its entries by column, as a dia_matrix stores them
     for (dz, dx), coef in table:
         at_row = np.s_[max(0, -dz):nzp - max(0, dz), max(0, -dx):nxp - max(0, dx)]
         at_col = np.s_[max(0, dz):nzp - max(0, -dz), max(0, dx):nxp - max(0, -dx)]
-        column = diagonals.setdefault(dz * nxp + dx, np.zeros((nzp, nxp), dtype))
+        column = diagonals.setdefault(dz * s_z + dx * s_x, np.zeros((nzp, nxp), dtype))
         column[at_col] += np.broadcast_to(coef, (nzp, nxp))[at_row]
     offsets = sorted(k for k, column in diagonals.items() if column.any())
-    return sp.dia_matrix((np.stack([diagonals[k].ravel() for k in offsets]), offsets), shape=(nzp * nxp,) * 2)
+    return sp.dia_matrix((np.stack([diagonals[k].ravel(topology.order) for k in offsets]), offsets),
+                         shape=(nzp * nxp,) * 2)
 
 
 @functools.lru_cache(maxsize=1)
@@ -199,7 +210,7 @@ def _grid_parts(grid, pml, scheme):
     depends on the frequency, so every kernel on one grid, PML and scheme
     shares one build (read only)."""
     topology = pad_topology(grid, pml)
-    stencil = _offset_matrix(topology.grid_pad, [((0, 0), scheme.mass_center)]
+    stencil = _offset_matrix(topology, [((0, 0), scheme.mass_center)]
                              + [(off, scheme.mass_edge) for off in ((0, 1), (0, -1), (1, 0), (-1, 0))]
                              + [((dz, dx), scheme.mass_corner) for dz in (-1, 1) for dx in (-1, 1)])
     return topology, stencil
@@ -218,8 +229,8 @@ class HelmholtzKernel:
 
     Holds the stretched Laplacian, the real mass-spreading stencil B
     (``stencil``), the PML damping c (``damping``), the mass matrix
-    S = B diag(c) (``mass_basis``) formed from them, and the
-    physical/padded index maps, all ``dia_matrix``es in padded-grid order;
+    S = B diag(c) (``mass_basis``) formed from them, and the physical/padded
+    index maps, all ``dia_matrix``es in the padded grid's band numbering;
     Lap and S share A(m)'s offsets, so A(m) is one sum of their diagonals.
     """
 
@@ -239,7 +250,7 @@ class HelmholtzKernel:
                                        "bottom" in pml.sides, pml.max_damping, pml.profile_exponent)
         sx_c, sx_f, sz_c, sz_f = (1.0 + 1j * sig / omega for sig in (sigx_c, sigx_f, sigz_c, sigz_f))
 
-        self.damping = (sx_c[np.newaxis, :] * sz_c[:, np.newaxis]).ravel()
+        self.damping = (sx_c[np.newaxis, :] * sz_c[:, np.newaxis]).ravel(self.topology.order)
 
         # 5-point part with the face factors; on cells whose 3x3 patch is
         # undamped it is blended with the 45-degree rotated Laplacian
@@ -252,7 +263,7 @@ class HelmholtzKernel:
         a_zm = sx_c[None, :] / sz_f[:-1, None] * weight
         dx2, dz2 = gp.dx**2, gp.dz**2
         rot = np.where(mixed, (1.0 - mix) / (2.0 * dx2), 0.0)
-        laplacian = _offset_matrix(gp, [
+        laplacian = _offset_matrix(self.topology, [
             ((0, 0), -(a_xp + a_xm) / dx2 - (a_zp + a_zm) / dz2), ((0, 0), -4.0 * rot),
             ((0, 1), a_xp / dx2), ((0, -1), a_xm / dx2), ((1, 0), a_zp / dz2), ((-1, 0), a_zm / dz2),
         ] + [((dz, dx), rot) for dz in (-1, 1) for dx in (-1, 1)])

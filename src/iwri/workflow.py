@@ -130,7 +130,9 @@ class InversionSettings:
     scheme: StencilScheme = StencilScheme()
 
     def __post_init__(self):
-        # PenaltyParams' checks, run before any batch (a batch's weights are mu1 * lambda_fraction)
+        # checked before any batch, whose weights are mu1 * lambda_fraction
+        if not 0 < self.lambda_fraction < math.inf:
+            raise ParameterError(f"lambda_fraction must be finite and positive, got {self.lambda_fraction}")
         PenaltyParams((self.lambda_fraction,), self.alpha, self.variant, self.inner_iterations)
 
 

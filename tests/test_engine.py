@@ -59,8 +59,8 @@ def test_reconstruct_matches_dense_stacked_lstsq(rng):
         b_eff = (problem.sources[0][:, 0]
                  + 1e-5 * (rng.standard_normal(n_pad) + 1j * rng.standard_normal(n_pad)))
         A = kern.assemble(m)
-        H, pad = assemble_normal_matrix(A, problem.P, lam), problem.pad_ordering
-        fact = factorize(H.tocsr()[pad][:, pad], ordering=pad)
+        H = assemble_normal_matrix(A, problem.P, lam)
+        fact = factorize(H)
         u = reconstruct_wavefield(fact, problem.P, A, lam, d_eff, b_eff)
         u_ref = dense_stacked_solve(A, problem.P, lam, d_eff, b_eff)
         assert np.linalg.norm(u - u_ref) / np.linalg.norm(u_ref) < 1e-8
@@ -71,11 +71,10 @@ def test_reconstruct_matches_dense_stacked_lstsq(rng):
 
 def test_reconstruct_exact_data_fixed_point():
     problem, m_true, dataset = tiny_problem()
-    pad = problem.pad_ordering
     for i, kern in enumerate(problem.kernels):
         A = kern.assemble(m_true.values)
         lam = 1.0
-        fact = factorize(assemble_normal_matrix(A, problem.P, lam).tocsr()[pad][:, pad], ordering=pad)
+        fact = factorize(assemble_normal_matrix(A, problem.P, lam))
         d = dataset.data[i][:, 0]
         b = problem.sources[i][:, 0]
         u = reconstruct_wavefield(fact, problem.P, A, lam, d, b)
@@ -93,9 +92,9 @@ def test_reconstruct_large_lambda_limit(rng):
     from iwri.linalg import lu_factorize
 
     u_pde = lu_factorize(A).solve(b_eff)
-    gaps, pad = [], problem.pad_ordering
+    gaps = []
     for lam in (1e2, 1e4, 1e6):
-        fact = factorize(assemble_normal_matrix(A, problem.P, lam).tocsr()[pad][:, pad], ordering=pad)
+        fact = factorize(assemble_normal_matrix(A, problem.P, lam))
         u = reconstruct_wavefield(fact, problem.P, A, lam, d_eff, b_eff)
         gaps.append(np.linalg.norm(u - u_pde) / np.linalg.norm(u_pde))
     assert gaps[0] > gaps[1] > gaps[2]
@@ -150,8 +149,7 @@ def test_reconstruction_is_the_minimizer(rng):
     lam = 5.0
     d_eff = dataset.data[1][:, 0]
     b_eff = problem.sources[1][:, 0]
-    pad = problem.pad_ordering
-    fact = factorize(assemble_normal_matrix(A, problem.P, lam).tocsr()[pad][:, pad], ordering=pad)
+    fact = factorize(assemble_normal_matrix(A, problem.P, lam))
     u = reconstruct_wavefield(fact, problem.P, A, lam, d_eff, b_eff)
     base = sum(wri_objective(A, problem.P, u, d_eff, b_eff, lam))
     norm_u = np.linalg.norm(u)
@@ -211,8 +209,9 @@ def test_gradient_lumped_mass_elementwise(rng):
     b_eff = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
     g = wri_gradient_m(kern, m, u, b_eff)
     r = kern.assemble(m) @ u - b_eff
-    expected = np.real(kern.omega**2 * np.conj(u) * r)  # no PML: padded == physical
-    assert np.allclose(g, expected, atol=1e-12 * np.max(np.abs(expected)))
+    expected = np.real(kern.omega**2 * np.conj(u) * r)  # per padded cell
+    assert kern.topology.order == "F"  # no PML: the padded cells are the physical ones, renumbered
+    assert np.allclose(g[kern.topology.phys_of_pad], expected, atol=1e-12 * np.max(np.abs(expected)))
 
 
 def test_estimate_model_diagonal_case(rng):
@@ -422,21 +421,19 @@ def _box_problem(**kwargs):
 
 
 def test_shared_layouts_factor_bit_equal_to_fresh(rng):
-    # the reader and plan one problem shares with the next read A and fill N
-    # as a fresh read of A and a fresh plan do
+    # H from A as assembled and the plan one problem shares with the next
+    # factor as H from a fresh read of A and a fresh plan do
     setup, problem = _box_problem()
     m = velocity_to_slowness_sq(setup.true_model).values
     n_pad = problem.n_pad
-    pad, phys = problem.pad_ordering, problem.phys_ordering
+    phys = problem.phys_ordering
     systems = []  # (band order, system through the shared maps, through fresh ones)
     for k in problem.kernels:
         A = k.assemble(m)
-        shared, fresh = problem.band_operator(A), la._diagonals(A.tocsr()[pad][:, pad])
-        assert np.array_equal(shared.offsets, fresh.offsets)
-        assert np.array_equal(shared.data, fresh.data)
-        with pytest.raises(ValueError):  # the reader gathers A's diagonals by their offsets
-            problem.band_operator(sp.dia_matrix((A.data[1:], A.offsets[1:]), shape=A.shape))
-        systems.append((pad, *(assemble_normal_matrix(M, problem.band_P, 0.3) for M in (shared, fresh))))
+        fresh = la._diagonals(A.tocsr())
+        assert np.array_equal(A.offsets, fresh.offsets)
+        assert np.array_equal(A.data, fresh.data)
+        systems.append((None, *(assemble_normal_matrix(M, problem.P, 0.3) for M in (A, fresh))))
     for _ in range(2):  # model systems of two wavefield sets: one pattern, other values
         us = rng.standard_normal((3, n_pad, 1)) + 1j * rng.standard_normal((3, n_pad, 1))
         systems.append((phys, *(engine._add_to_diagonal(plan.matrix(problem.kernels, us), 1.0)
@@ -450,7 +447,7 @@ def test_shared_layouts_factor_bit_equal_to_fresh(rng):
         assert np.array_equal(first.solve(b), second.solve(b))
     # the next problem on the same grid, PML and scheme builds none of them again
     again = _box_problem()[1]
-    for name in ("pad_ordering", "phys_ordering", "band_operator", "model_normal"):
+    for name in ("phys_ordering", "model_normal"):
         assert getattr(again, name) is getattr(problem, name)
     assert again.kernels[0].stencil is problem.kernels[0].stencil
 
@@ -460,15 +457,15 @@ def test_diagonal_fill_equals_gathered_csr(rng):
     # N + gamma I, both written from their diagonals, against the buffers
     # read in block layout from the CSR matrices of the sparse products
     setup, problem = _box_problem()
-    pad, phys = problem.pad_ordering, problem.phys_ordering
+    phys = problem.phys_ordering
     pairs = []
     for model in (setup.initial_model, setup.true_model):
         m = velocity_to_slowness_sq(model).values
         for k, lam in zip(problem.kernels, (0.3, 2.0, 40.0)):
             A, P = k.assemble(m), problem.P
             csr = (P.conjugate().T @ P + lam * (A.conjugate().T @ A)).tocsr()
-            new = assemble_normal_matrix(problem.band_operator(A), problem.band_P, lam)
-            pairs.append((filled_split_buffer(new, complex), split_buffer_oracle(csr, pad, complex)))
+            new = assemble_normal_matrix(A, P, lam)
+            pairs.append((filled_split_buffer(new, complex), split_buffer_oracle(csr, None, complex)))
     natural = ModelNormalPlan(problem.kernels[0], np.arange(problem.grid.n))
     for _ in range(2):
         us = rng.standard_normal((3, problem.n_pad, 1)) + 1j * rng.standard_normal((3, problem.n_pad, 1))
@@ -546,18 +543,39 @@ def test_model_normal_plan_same_from_every_kernel(rng):
 
 
 def test_wavefield_breakdown_names_padded_grid_cell(monkeypatch):
-    # H is factored in band order; the error names the padded-grid cell
-    problem, m_true, dataset = tiny_problem()
-    n, pad = problem.n_pad, problem.pad_ordering
-    bad = int(np.flatnonzero(pad != np.arange(n))[0])  # a band index that is not its own cell
+    # H is factored in the padded grid's band numbering, here z fastest on a
+    # grid wider than tall; the error names the pivot's flat index and cell
+    problem, m_true, dataset = tiny_problem(nx=9, nz=6)
+    gp = problem.topology.grid_pad
+    assert problem.topology.order == "F" and (gp.nx, gp.nz) == (15, 12)
+    n, bad = problem.n_pad, 5 * gp.nz + 2  # padded cell (ix, iz) = (5, 2)
     diagonal = np.ones(n, dtype=complex)
     diagonal[bad] = -1.0
     monkeypatch.setattr(engine, "assemble_normal_matrix",
                         lambda A, P, lam: sp.dia_matrix((diagonal[None], [0]), shape=(n, n)))
     state = init_state(problem, np.full(problem.grid.n, 1.0 / 1850.0**2))
-    with pytest.raises(SolverError, match=f"pivot {pad[bad]}\\b") as info:
+    with pytest.raises(SolverError, match=f"pivot {bad}, padded cell \\(ix, iz\\) = \\(5, 2\\)") as info:
         inner_refine(problem, state, PenaltyParams(lambdas=(3.0, 1.0)))
-    assert info.value.__cause__.pivot_index == pad[bad]
+    assert info.value.__cause__.pivot_index == bad
+
+
+def test_wavefield_system_factored_in_its_own_order(monkeypatch):
+    # on the box, H = P^H P + lam A^H A comes in band order (widest offset
+    # 182) and is factored with no ordering; the model system keeps its own
+    setup, problem = _box_problem()
+    calls = []
+
+    def factorize_spy(H, ordering=None):
+        calls.append((np.iscomplexobj(H.data), int(np.max(np.abs(la._diagonals(H).offsets))), ordering))
+        return la.factorize(H, ordering=ordering)
+
+    monkeypatch.setattr(engine, "factorize", factorize_spy)
+    state = init_state(problem, velocity_to_slowness_sq(setup.initial_model).values)
+    inner_refine(problem, state, PenaltyParams(lambdas=(1.0, 1.0, 1.0)))
+    assert [c[:2] for c in calls[:3]] == [(True, 182)] * 3
+    assert all(ordering is None for *_, ordering in calls[:3])
+    assert len(calls) == 4 and calls[3][2] is problem.phys_ordering
+    assert np.array_equal(problem.pad_ordering, np.arange(problem.n_pad))
 
 
 def test_model_breakdown_names_physical_cell():

@@ -62,37 +62,67 @@ def test_scheme_validation():
 
 
 def test_pad_topology_maps():
-    grid = Grid2D(5, 4, 10.0, 10.0)
-    pml = PmlConfig(n_layers=2, max_damping=50.0)
-    topo = pad_topology(grid, pml)
-    assert topo.grid_pad.nx == 9 and topo.grid_pad.nz == 8
-    # replication: padded corner maps to physical corner cell
-    assert topo.phys_of_pad[0] == 0
-    assert topo.phys_of_pad[-1] == grid.n - 1
-    # injection/restriction are mutually consistent
-    assert np.array_equal(topo.phys_of_pad[topo.pad_of_phys], np.arange(grid.n))
-    # free-surface top: no rows added above
-    free = pad_topology(grid, PmlConfig(n_layers=2, max_damping=50.0,
-                                        sides=frozenset({"bottom", "left", "right"})))
-    assert free.grid_pad.nz == 6
-    assert free.pad_of_phys[0] == 2  # first physical cell sits at padded (ix=2, iz=0)
-    # every side set at 0, 3 and 10 layers against the clipped-index construction
-    for n_layers in (0, 3, 10):
+    # a wide grid, a tall grid and a wide grid with a free top, whose padded
+    # grids are numbered z fastest, x fastest and z fastest
+    for nx, nz, sides, order in ((5, 4, {"top", "bottom", "left", "right"}, "F"),
+                                 (4, 5, {"top", "bottom", "left", "right"}, "C"),
+                                 (5, 4, {"bottom", "left", "right"}, "F")):
+        grid = Grid2D(nx, nz, 10.0, 10.0)
+        topo = pad_topology(grid, PmlConfig(n_layers=2, max_damping=50.0, sides=frozenset(sides)))
+        top = 2 if "top" in sides else 0  # free-surface top: no rows added above
+        nx_pad, nz_pad = nx + 4, nz + top + 2
+        assert (topo.grid_pad.nx, topo.grid_pad.nz) == (nx_pad, nz_pad)
+        assert topo.order == order  # the shorter padded axis varies fastest
+        # replication: padded corner maps to physical corner cell
+        assert topo.phys_of_pad[0] == 0
+        assert topo.phys_of_pad[-1] == grid.n - 1
+        # injection/restriction are mutually consistent
+        assert np.array_equal(topo.phys_of_pad[topo.pad_of_phys], np.arange(grid.n))
+        # the first physical cell sits at padded (ix=2, iz=top)
+        assert topo.pad_of_phys[0] == (2 * nz_pad + top if order == "F" else top * nx_pad + 2)
+    # every side set at 0, 3 and 10 layers against the clipped-index construction,
+    # on the wide and the tall grid
+    for grid, n_layers in itertools.product((Grid2D(5, 4, 10.0, 10.0), Grid2D(4, 5, 10.0, 10.0)),
+                                            (0, 3, 10)):
         for k in range(5):
             for sides in itertools.combinations(("top", "bottom", "left", "right"), k):
                 topo = pad_topology(grid, PmlConfig(n_layers=n_layers, max_damping=50.0,
                                                     sides=frozenset(sides)))
                 top, bottom, left, right = (n_layers if s in sides else 0
                                             for s in ("top", "bottom", "left", "right"))
-                nx_pad = grid.nx + left + right
-                assert topo.grid_pad == Grid2D(nx_pad, grid.nz + top + bottom, 10.0, 10.0)
-                izp, ixp = np.divmod(np.arange(topo.n_pad), nx_pad)
+                nx_pad, nz_pad = grid.nx + left + right, grid.nz + top + bottom
+                assert topo.grid_pad == Grid2D(nx_pad, nz_pad, 10.0, 10.0)
+                iz, ix = np.divmod(np.arange(grid.n), grid.nx)
+                if nz_pad < nx_pad:  # z fastest: padded cell (ix, iz) at ix * nz_pad + iz
+                    assert topo.order == "F"
+                    ixp, izp = np.divmod(np.arange(topo.n_pad), nz_pad)
+                    pad = (ix + left) * nz_pad + iz + top
+                else:  # x fastest: padded cell (ix, iz) at iz * nx_pad + ix
+                    assert topo.order == "C"
+                    izp, ixp = np.divmod(np.arange(topo.n_pad), nx_pad)
+                    pad = (iz + top) * nx_pad + ix + left
                 phys = (np.clip(izp - top, 0, grid.nz - 1) * grid.nx
                         + np.clip(ixp - left, 0, grid.nx - 1))
-                iz, ix = np.divmod(np.arange(grid.n), grid.nx)
-                for got, want in ((topo.phys_of_pad, phys),
-                                  (topo.pad_of_phys, (iz + top) * nx_pad + ix + left)):
-                    assert got.dtype == want.dtype and np.array_equal(got, want), (n_layers, sides)
+                for got, want in ((topo.phys_of_pad, phys), (topo.pad_of_phys, pad)):
+                    assert got.dtype == want.dtype and np.array_equal(got, want), (grid, n_layers, sides)
+
+
+@pytest.mark.parametrize("nx,nz", [(12, 7), (7, 12)], ids=["wide", "tall"])
+def test_band_numbering_gives_the_narrower_band(nx, nz):
+    # A(m) in the chosen numbering against A(m) renumbered the other way
+    grid = Grid2D(nx, nz, 10.0, 10.0)
+    kern = build_kernel(grid, 2 * np.pi * 6.0, PmlConfig(n_layers=3).resolved(grid, 2000.0),
+                        StencilScheme())
+    A = kern.assemble(np.full(grid.n, 1.0 / 2000.0**2))
+    gp, order = kern.topology.grid_pad, kern.topology.order
+    other = {"F": "C", "C": "F"}[order]
+    to_other = np.empty(gp.n, dtype=int)
+    to_other[np.arange(gp.n).reshape((gp.nz, gp.nx), order=order)] = \
+        np.arange(gp.n).reshape((gp.nz, gp.nx), order=other)
+    coo = A.tocoo()
+    band = int(np.max(np.abs(coo.row - coo.col)))
+    assert band == int(np.max(np.abs(A.offsets))) == min(gp.nz, gp.nx) + 1
+    assert band < int(np.max(np.abs(to_other[coo.row] - to_other[coo.col]))) == max(gp.nz, gp.nx) + 1
 
 
 def test_low_frequency_limit_reduces_to_laplacian():
@@ -388,17 +418,18 @@ def test_pml_efficacy_boundary_ring():
     src = (grid.width / 2 + 5.0, grid.depth / 2 + 5.0)
     u = forward_solve(kern.assemble(m.values), build_source(kern.topology, src, 1.0))
     gp = kern.topology.grid_pad
-    U = np.abs(u.reshape(gp.nz, gp.nx))
+    U = np.abs(u.reshape((gp.nz, gp.nx), order=kern.topology.order))
     ring = np.concatenate([U[0, :], U[-1, :], U[:, 0], U[:, -1]])
     assert ring.max() < 1e-3 * U.max()
 
 
-def _csr_of_offset_table(grid_pad, table):
+def _csr_of_offset_table(topology, table):
     """Oracle: the CSR matrix whose row (iz, ix) holds each coefficient (a
     scalar, or an (nz, nx) array read at the row) in column (iz + dz,
-    ix + dx) inside the padded grid, exact zeros dropped, repeats summed."""
-    nzp, nxp = grid_pad.nz, grid_pad.nx
-    idx = np.arange(nzp * nxp).reshape(nzp, nxp)
+    ix + dx) inside the padded grid, in the topology's numbering, exact
+    zeros dropped, repeats summed."""
+    nzp, nxp = topology.grid_pad.nz, topology.grid_pad.nx
+    idx = np.arange(nzp * nxp).reshape((nzp, nxp), order=topology.order)
     rows, cols, vals = [], [], []
     for (dz, dx), coef in table:
         at_row = np.s_[max(0, -dz):nzp - max(0, dz), max(0, -dx):nxp - max(0, dx)]
@@ -434,7 +465,7 @@ def test_operators_equal_csr_built_from_offset_tables(monkeypatch, rng):
     tables = []
     built = helmholtz._offset_matrix
     monkeypatch.setattr(helmholtz, "_offset_matrix",
-                        lambda gp, table: tables.append(table) or built(gp, table))
+                        lambda topo, table: tables.append(table) or built(topo, table))
     helmholtz._grid_parts.cache_clear()  # so that B's table is seen too
     setup = box_anomaly_setup()
     grid = setup.true_model.grid
@@ -442,11 +473,13 @@ def test_operators_equal_csr_built_from_offset_tables(monkeypatch, rng):
     m = velocity_to_slowness_sq(setup.true_model).values
     kernels = [build_kernel(grid, 2 * np.pi * f, pml, StencilScheme()) for f in setup.frequencies]
     assert len(tables) == 4  # B once, then one Laplacian per frequency
-    gp = kernels[0].topology.grid_pad
-    B = _csr_of_offset_table(gp, tables[0])
+    topo = kernels[0].topology
+    assert topo.order == "F"  # the padded box is wider than tall
+    gp = topo.grid_pad
+    B = _csr_of_offset_table(topo, tables[0])
     r = rng.standard_normal((gp.n, 2)) + 1j * rng.standard_normal((gp.n, 2))
     for kern, table in zip(kernels, tables[1:]):
-        lap = _csr_of_offset_table(gp, table)
+        lap = _csr_of_offset_table(topo, table)
         S = sp.csr_matrix((B.data * kern.damping[B.indices], B.indices, B.indptr), shape=B.shape)
         m_pad = kern.pad_model(m)
         A = (lap + sp.csr_matrix((kern.omega**2 * S.data * m_pad[S.indices], S.indices, S.indptr),

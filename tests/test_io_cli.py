@@ -305,20 +305,26 @@ def test_cli_malformed_value_exits_before_any_work(tmp_path, capsys):
     assert not (tmp_path / "fwd").exists()
 
 
-_BAD_RUN_SETTINGS = [
-    (["invert", "--alpha", "2"], ""),
-    (["invert", "--lambda-fraction", "-1"], ""),
-    (["invert", "--inner-n", "0"], ""),
-    (["invert", "--variant", "admm", "--inner-n", "2"], ""),
-    (["forward"], "f0 = 0\n"),
-    (["forward"], "snr_db = 20\nnoise_seed = -1\n"),
-    (["scan-lambda", "--fractions", "1e-4,-1"], ""),  # no fraction runs, not even the first
-    (["scan-lambda", "--fractions", "nan"], ""),
+_BAD_RUN_SETTINGS = [  # (arguments, config lines, what the message must say)
+    (["invert", "--alpha", "2"], "", "error: alpha must be in (0, 1], got 2.0"),
+    (["invert", "--lambda-fraction", "-1"], "",
+     "error: lambda_fraction must be finite and positive, got -1.0"),
+    (["invert", "--inner-n", "0"], "", "error: inner_iterations must be >= 1"),
+    (["invert", "--variant", "admm", "--inner-n", "2"], "",
+     "error: inner iterations are defined for the wri/prsm variants only"),
+    (["forward"], "f0 = 0\n", "error: config key 'f0': expected a positive number, got '0'"),
+    (["forward"], "snr_db = 20\nnoise_seed = -1\n",
+     "error: config key 'noise_seed': expected a nonnegative integer, got '-1'"),
+    (["scan-lambda", "--fractions", "1e-4,-1"], "",  # no fraction runs, not even the first
+     "error: --fractions: lambda_fraction must be finite and positive, got -1.0"),
+    (["scan-lambda", "--fractions", "nan"], "",
+     "error: --fractions: lambda_fraction must be finite and positive, got nan"),
 ]
 
 
-@pytest.mark.parametrize("argv,extra", _BAD_RUN_SETTINGS)
-def test_cli_bad_run_setting_exits_before_reading_inputs(tmp_path, monkeypatch, capsys, argv, extra):
+@pytest.mark.parametrize("argv,extra,message", _BAD_RUN_SETTINGS,  # ids name a case, not its message
+                         ids=[f"argv{i}-{extra}" for i, (_, extra, _) in enumerate(_BAD_RUN_SETTINGS)])
+def test_cli_bad_run_setting_exits_before_reading_inputs(tmp_path, monkeypatch, capsys, argv, extra, message):
     def read(path):
         raise AssertionError(f"input {path} read before the run settings were checked")
 
@@ -329,7 +335,7 @@ def test_cli_bad_run_setting_exits_before_reading_inputs(tmp_path, monkeypatch, 
     out = tmp_path / "out"
     assert cli_dispatch([argv[0], "--config", str(cfg), "--out", str(out), *argv[1:]]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith(message) and "Traceback" not in err
     assert not out.exists()
 
 

@@ -454,14 +454,18 @@ def test_power_iteration_matches_dense_eig(rng):
         assert abs(result.value - mu_dense) <= 1e-12 * mu_dense
 
 
-def _n_space_rayleigh_quotients(A, P, n_it, seed):
+def _n_space_rayleigh_quotients(A, P, n_it, seed, topology):
     """Reference: Rayleigh quotients of the power iteration on n-vectors,
-    one solve with the LU of A and one with the LU of A^H a step."""
+    one solve with the LU of A and one with the LU of A^H a step.  The
+    start vector is drawn per padded cell in row-major cell order, and
+    moved into the topology's numbering."""
     a_lu, ah_lu = lu_factorize(A), lu_factorize(A.conjugate().T)
     P = sp.csr_matrix(P)
     Pt = P.conjugate().T.tocsr()
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(a_lu.n) + 1j * rng.standard_normal(a_lu.n)
+    gp = topology.grid_pad
+    v = v[np.arange(gp.n).reshape(gp.nz, gp.nx).ravel(topology.order)]
     v /= np.linalg.norm(v)
     quotients = []
     for _ in range(n_it):
@@ -483,21 +487,24 @@ def _box_systems():
     m0 = velocity_to_slowness_sq(setup.initial_model).values
     for f in setup.frequencies:
         kern = build_kernel(grid, 2.0 * np.pi * f, pml, StencilScheme())
-        yield kern.assemble(m0), build_observation(kern.topology, setup.geometry.receivers)
+        yield kern.assemble(m0), build_observation(kern.topology, setup.geometry.receivers), kern.topology
 
 
 def test_power_iteration_factored_matches_n_space_loop():
+    from iwri.grid import Grid2D
+    from iwri.helmholtz import PmlConfig, pad_topology
     from tests_helpers_toy import toy_helmholtz_system
 
     # The exact receiver-space mu1 bounds every Rayleigh quotient of the
     # n-space power iteration from above, and the loop closes on it.
-    runs = [(A, P, 300, 1234, 1e-11) for A, P in _box_systems()]
-    runs[2] = (*runs[2][:4], 2e-3)  # 7 Hz: the loop is still 1.3e-3 short after 300 steps
-    runs.append((*toy_helmholtz_system(nx=12, nz=9, n_receivers=3), 30, 11, 1e-12))
+    runs = [(A, P, topo, 300, 1234, 1e-11) for A, P, topo in _box_systems()]
+    runs[2] = (*runs[2][:5], 2e-3)  # 7 Hz: the loop is still 1.3e-3 short after 300 steps
+    toy_topology = pad_topology(Grid2D(12, 9, 10.0, 10.0), PmlConfig(n_layers=2))  # the toy system's
+    runs.append((*toy_helmholtz_system(nx=12, nz=9, n_receivers=3), toy_topology, 30, 11, 1e-12))
     stops = []
-    for A, P, n_it, seed, gap in runs:
+    for A, P, topo, n_it, seed, gap in runs:
         exact = power_iteration_mu1(A, P).value
-        q = _n_space_rayleigh_quotients(A, P, n_it, seed)
+        q = _n_space_rayleigh_quotients(A, P, n_it, seed, topo)
         assert np.all(q <= exact * (1.0 + 1e-12))
         assert np.all(np.diff(q) >= -1e-12 * exact)
         assert exact - q[-1] <= gap * exact
