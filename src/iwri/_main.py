@@ -2,8 +2,8 @@
 
 import sys
 
-from .cli import main
+from .cli import cli_dispatch
 
 
 def run():
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(cli_dispatch(sys.argv[1:]))

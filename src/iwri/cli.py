@@ -91,32 +91,37 @@ def _cmd_forward(args):
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset = synthesize_data(velocity_to_slowness_sq(true_model), geometry, frequencies,
                               settings.pml, settings.scheme, f0=config.value("f0"))
-    snr = config.snr_db()
-    dataset = add_noise(dataset, snr, config.value("noise_seed"))
+    dataset = add_noise(dataset, config.snr_db(), config.value("noise_seed"))
     write_dataset(dataset, out_dir / "dataset.iwd")
-    _write_metadata(out_dir, "forward", config, snr_db=None if math.isinf(snr) else snr,
-                    n_frequencies=dataset.n_frequencies)
+    _write_metadata(out_dir, "forward", config, n_frequencies=dataset.n_frequencies)
     print(f"wrote {out_dir / 'dataset.iwd'} "
           f"({dataset.n_frequencies} frequencies, {dataset.geometry.n_sources} sources, "
           f"{dataset.geometry.n_receivers} receivers)")
     return 0
 
 
-def _cmd_invert(args):
-    config = _apply_overrides(load_config(args.config), args)
-    settings, criteria, plan = config.settings(), config.criteria(), config.plan()
+def _run_inputs(config, out):
+    """(initial model, data to invert, true model or None, output directory)
+    of an inverting command.  Noise is added at ``snr_db`` unless the dataset
+    already carries some; ``out`` is created once every input has been read."""
     initial = read_model_file(config.path("initial_model"))
     dataset = read_dataset(config.path("data"))
     m_true = read_model_file(config.path("true_model")) if config.has("true_model") else None
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     snr = config.snr_db()
     if not math.isinf(snr):
         if dataset.seed is None:
             dataset = add_noise(dataset, snr, config.value("noise_seed"))
         else:
             print("dataset already carries noise; not adding more")
+    out_dir = Path(out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return initial, dataset, m_true, out_dir
+
+
+def _cmd_invert(args):
+    config = _apply_overrides(load_config(args.config), args)
+    settings, criteria, plan = config.settings(), config.criteria(), config.plan()
+    initial, dataset, m_true, out_dir = _run_inputs(config, args.out)
 
     started = time.perf_counter()
     result = run_inversion(initial, plan, dataset, settings, criteria, m_true=m_true)
@@ -168,12 +173,8 @@ def _cmd_scan_lambda(args):
     if not runs:
         raise ConfigError("--fractions must list at least one value")
 
-    initial = read_model_file(config.path("initial_model"))
-    dataset = read_dataset(config.path("data"))
-    m_true = read_model_file(config.path("true_model")) if config.has("true_model") else None
+    initial, dataset, m_true, out_dir = _run_inputs(config, args.out)
     m0 = velocity_to_slowness_sq(initial)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     summary = ["fraction,iterations,stop_reason,final_pde_misfit,final_data_misfit,final_model_error"]
     for settings in runs:
@@ -235,7 +236,3 @@ def cli_dispatch(argv):
     except (IwriError, OSError) as exc:  # configuration, input and output errors
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def main(argv=None):
-    return cli_dispatch(sys.argv[1:] if argv is None else argv)

@@ -21,6 +21,7 @@ the new pair with the model.
 """
 
 import enum
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -30,7 +31,7 @@ import scipy.sparse as sp
 
 from .errors import ParameterError, ShapeError, SolverError
 from .grid import velocity_to_slowness_sq
-from .helmholtz import band_numbering, build_kernel, forward_solve, resolve_pml
+from .helmholtz import _grid_parts, band_numbering, build_kernel, forward_solve, resolve_pml
 from .acquisition import build_observation, source_matrix
 from .linalg import FactorizationError, _diagonals, _gram, _transpose, assemble_normal_matrix, factorize
 from .util import squared_norm, stacked_norm
@@ -125,18 +126,17 @@ class ModelNormalPlan:
     omega_k^2 B diag(c_k u_s), and N is Re sum_k omega_k^4 times the Gram
     matrix of the B diag(c_k u_s) (``linalg._gram``), folded through R.
     The fold takes each entry of B^T B's pattern to its slot in N's band
-    diagonals; it is built once, from the kernel's B (``kernel.stencil``,
-    held exactly): every kernel on the same grid, PML layers and scheme
-    holds the same B, so the plan built from any of them is the same.
+    diagonals; it is built once, from the padded ``topology`` and B
+    (``stencil``, held exactly), which every kernel on them shares.
     Each fill is one Gram product per frequency and one bincount."""
 
-    def __init__(self, kernel, ordering):
-        n, B = kernel.grid.n, kernel.stencil
-        self.stencil = B  # B's diagonals on the padded grid
-        lags, gram = _gram(self.stencil.data[None], self.stencil.offsets)  # B^T B
+    def __init__(self, topology, stencil, ordering):
+        n = topology.grid.n
+        self.stencil = stencil  # B's diagonals on the padded grid
+        lags, gram = _gram(stencil.data[None], stencil.offsets)  # B^T B
         self.source = np.flatnonzero(gram)
-        k, cols = np.divmod(self.source, B.shape[0])
-        phys, inv = kernel.topology.phys_of_pad, np.argsort(ordering)
+        k, cols = np.divmod(self.source, stencil.shape[0])
+        phys, inv = topology.phys_of_pad, np.argsort(ordering)
         rows, cols = inv[phys[cols - lags[k]]], inv[phys[cols]]
         self.offsets, k = np.unique(cols - rows, return_inverse=True)
         self.slot = k * n + cols  # N[perm][:, perm] in dia_matrix layout
@@ -154,21 +154,14 @@ class ModelNormalPlan:
         return sp.dia_matrix((data.reshape(self.offsets.size, -1), self.offsets), shape=self.shape)
 
 
-_PLANS = None, None  # (key, plans) of the last grid, PML and scheme
-
-
-def _band_plans(grid, pml, scheme, kernel):
+@functools.lru_cache(maxsize=1)
+def _band_plans(grid, pml, scheme):
     """The physical grid's band order (``band_numbering``) and the model
     normal plan: they depend only on the grid, the resolved PML and the
-    scheme (``kernel`` is any kernel on them), so one build serves all batches."""
-    global _PLANS
-    key, plans = _PLANS
-    if key != (grid, pml, scheme):
-        phys = np.arange(grid.n).reshape(grid.nz, grid.nx).ravel(band_numbering(grid.nz, grid.nx))
-        phys.flags.writeable = False  # shared by problems
-        plans = phys, ModelNormalPlan(kernel, phys)
-        _PLANS = (grid, pml, scheme), plans
-    return plans
+    scheme, as ``helmholtz._grid_parts`` does, so one build serves all batches."""
+    phys = np.arange(grid.n).reshape(grid.nz, grid.nx).ravel(band_numbering(grid.nz, grid.nx))
+    phys.flags.writeable = False  # shared by problems
+    return phys, ModelNormalPlan(*_grid_parts(grid, pml, scheme), phys)
 
 
 class InversionProblem:
@@ -201,7 +194,7 @@ class InversionProblem:
             self.lo, self.hi = -np.inf, np.inf
 
         # band orders (perm[new] = old) of the model and the wavefield system (the identity)
-        self.phys_ordering, self.model_normal = _band_plans(grid, self.pml, scheme, self.kernels[0])
+        self.phys_ordering, self.model_normal = _band_plans(grid, self.pml, scheme)
         self.pad_ordering = np.arange(topo.n_pad)  # only perfbench/worker.py reads it
         self.pad_ordering.flags.writeable = False
 

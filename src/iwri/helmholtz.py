@@ -20,11 +20,11 @@ order (``band_numbering``), so its operators come in their band factor's order.
 
 The 9-point scheme blends the axis-aligned 5-point Laplacian with its
 45-degree rotated counterpart and spreads the mass term over center and
-edge neighbors (fixed classical weights).  The rotated part is exact only
-for constant coefficients, so it is applied on cells whose full 3x3 patch
-is undamped; inside the PML the scheme degrades to the stretched 5-point
-form.  Setting the blend weight to 1 and the mass spreading to pure
-lumping recovers the plain 5-point scheme everywhere.
+edge neighbors (the fixed weights of Jo, Shin and Suh 1996).  The rotated
+part is exact only for constant coefficients, so it is applied on cells
+whose full 3x3 patch is undamped; inside the PML the scheme degrades to
+the stretched 5-point form.  Setting the blend weight to 1 and the mass
+spreading to pure lumping recovers the plain 5-point scheme everywhere.
 """
 
 import functools

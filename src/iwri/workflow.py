@@ -239,16 +239,7 @@ def run_inversion(model0, plan, dataset, settings, criteria, *, m_true=None):
             m_cur = model_out
         per_path_iterations.append(path_iterations)
 
-    metadata = {
-        "variant": settings.variant.value,
-        "alpha": settings.alpha,
-        "inner_iterations": settings.inner_iterations,
-        "lambda_fraction": settings.lambda_fraction,
-        "bounds": None if settings.bounds is None else
-                  {"v_min": settings.bounds.v_min, "v_max": settings.bounds.v_max},
-        "bounds_mode": settings.bounds_mode,
-        "stopping": {"k_max": criteria.k_max, "delta": criteria.delta,
-                     "eps_n": None if criteria.eps_n is None else np.asarray(criteria.eps_n).tolist()},
+    metadata = {  # what the run derived; the settings are the caller's to record
         "batches": [
             {
                 "path": br.path,

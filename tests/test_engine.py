@@ -438,7 +438,8 @@ def test_shared_layouts_factor_bit_equal_to_fresh(rng):
         us = rng.standard_normal((3, n_pad, 1)) + 1j * rng.standard_normal((3, n_pad, 1))
         systems.append((phys, *(engine._add_to_diagonal(plan.matrix(problem.kernels, us), 1.0)
                                 for plan in (problem.model_normal,
-                                             ModelNormalPlan(problem.kernels[0], phys)))))
+                                             ModelNormalPlan(problem.topology,
+                                                             problem.kernels[0].stencil, phys)))))
     rhs = rng.standard_normal((n_pad, 2)) + 1j * rng.standard_normal((n_pad, 2))
     for order, shared, fresh in systems:
         first, second = factorize(shared, ordering=order), factorize(fresh, ordering=order)
@@ -466,7 +467,8 @@ def test_diagonal_fill_equals_gathered_csr(rng):
             csr = (P.conjugate().T @ P + lam * (A.conjugate().T @ A)).tocsr()
             new = assemble_normal_matrix(A, P, lam)
             pairs.append((filled_split_buffer(new, complex), split_buffer_oracle(csr, None, complex)))
-    natural = ModelNormalPlan(problem.kernels[0], np.arange(problem.grid.n))
+    natural = ModelNormalPlan(problem.topology, problem.kernels[0].stencil,
+                              np.arange(problem.grid.n))
     for _ in range(2):
         us = rng.standard_normal((3, problem.n_pad, 1)) + 1j * rng.standard_normal((3, problem.n_pad, 1))
         gamma = 0.1 * float(np.mean(natural.matrix(problem.kernels, us).diagonal()))
@@ -535,7 +537,7 @@ def test_model_normal_plan_same_from_every_kernel(rng):
                                bounds=setup.bounds)
     shape = (3, problem.n_pad, geom.n_sources)
     us = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    plans = [ModelNormalPlan(k, problem.phys_ordering) for k in problem.kernels]
+    plans = [ModelNormalPlan(k.topology, k.stencil, problem.phys_ordering) for k in problem.kernels]
     first, *others = [plan.matrix(problem.kernels, us) for plan in plans]
     for normal in others:
         for part in ("data", "offsets"):

@@ -14,10 +14,10 @@ from iwri.errors import ConfigError, FactorizationError, FormatError
 from iwri.grid import Grid2D, VelocityModel, build_homogeneous, velocity_to_slowness_sq
 from iwri.helmholtz import PmlConfig, StencilScheme
 from iwri.acquisition import AcquisitionGeometry, synthesize_data
-from iwri.fileio import (_CONFIG_KEYS, load_config, read_convergence_csv, read_dataset,
-                         read_model_file, write_convergence_csv, write_dataset, write_model_file,
-                         write_raster)
-from iwri.workflow import ConvergenceRecord
+from iwri.fileio import (_CONFIG_KEYS, RunConfig, load_config, read_convergence_csv,
+                         read_dataset, read_model_file, write_convergence_csv, write_dataset,
+                         write_model_file, write_raster)
+from iwri.workflow import ConvergenceRecord, InversionSettings, StoppingCriteria
 from iwri.cli import _build_parser, cli_dispatch
 from iwri.presets import box_anomaly_setup
 
@@ -245,6 +245,14 @@ def test_config_parsing_and_validation(tmp_path):
         load_config(noeq)
 
 
+def test_config_defaults_are_the_library_defaults():
+    # the config table states each default again, as text: it must parse to
+    # the dataclasses' own defaults
+    config = RunConfig({}, Path("."))
+    assert config.settings() == InversionSettings()
+    assert config.criteria() == StoppingCriteria()
+
+
 def test_config_receiver_line(tmp_path):
     seed_models(tmp_path)
     cfg = tmp_path / "rl.cfg"
@@ -392,6 +400,13 @@ def test_cli_forward_then_invert_roundtrip(tmp_path):
     assert meta["run"]["iterations_total"] >= 1
     assert meta["run"]["batches"][0]["lambda"][0] > 0
     assert meta["run"]["batches"][0]["model_warnings"] == 0
+    # each setting is recorded once, as the resolved config; the other
+    # fields are what the command derived
+    assert meta["config"] == load_config(cfg).resolved()
+    assert set(meta) == {"command", "config", "version", "run", "wall_seconds"}
+    assert set(meta["run"]) == {"batches", "iterations_per_path", "iterations_total"}
+    forward = json.loads((tmp_path / "out" / "metadata.json").read_text())
+    assert set(forward) == {"command", "config", "version", "n_frequencies"}
 
 
 def test_cli_variants_produce_distinct_models(tmp_path):
@@ -457,6 +472,39 @@ def test_cli_scan_lambda(tmp_path):
     summary = (tmp_path / "scan" / "scan_summary.csv").read_text().strip().split("\n")
     assert len(summary) == 3
     assert len(list((tmp_path / "scan").glob("scan_*.csv"))) == 3  # 2 runs + summary
+
+
+def test_cli_scan_lambda_fraction_is_invert_on_the_same_data(tmp_path):
+    # a scan fraction runs what `invert --lambda-fraction` runs on one batch
+    # of all frequencies, on the same data: noise is added by the same rule
+    setup = box_anomaly_setup(nx=40, nz=28, dx=25.0)
+    write_model_file(setup.true_model, tmp_path / "true.mod")
+    write_model_file(setup.initial_model, tmp_path / "init.mod")
+    points = lambda pts: ";".join(f"{x!r},{z!r}" for x, z in pts)
+    base = ("true_model = true.mod\ninitial_model = init.mod\ndata = fwd/dataset.iwd\n"
+            f"sources = {points(setup.geometry.sources)}\n"
+            f"receivers = {points(setup.geometry.receivers)}\n"
+            "frequencies = 2.5 5\nv_min = 1800\nv_max = 2100\n")
+    (tmp_path / "fwd.cfg").write_text(base)  # noiseless data
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(base + "snr_db = 20\nnoise_seed = 3\nk_max = 3\ndelta = 1e-300\neps_n = 1e-300\n")
+    assert cli_dispatch(["forward", "--config", str(tmp_path / "fwd.cfg"),
+                         "--out", str(tmp_path / "fwd")]) == 0
+    assert cli_dispatch(["invert", "--config", str(cfg), "--out", str(tmp_path / "inv")]) == 0
+    assert cli_dispatch(["scan-lambda", "--config", str(cfg), "--fractions", "1e-4",
+                         "--out", str(tmp_path / "scan")]) == 0
+    assert ((tmp_path / "scan" / "scan_1.000e-04.csv").read_bytes()
+            == (tmp_path / "inv" / "convergence_p0_b0.csv").read_bytes())
+
+
+def test_cli_inverting_commands_add_no_noise_to_noisy_data(tmp_path, capsys):
+    seed_models(tmp_path)
+    cfg = write_config(tmp_path, extra="snr_db = 20\n", data_line="data = out/dataset.iwd\n")
+    assert cli_dispatch(["forward", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    for argv in (["invert"], ["scan-lambda", "--fractions", "1e-4"]):
+        capsys.readouterr()
+        assert cli_dispatch([*argv, "--config", str(cfg), "--out", str(tmp_path / argv[0])]) == 0
+        assert "dataset already carries noise; not adding more\n" in capsys.readouterr().out, argv
 
 
 def test_cli_oracle_refine(capsys):
