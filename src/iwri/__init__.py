@@ -17,8 +17,7 @@ from .engine import (BoxConstraintState, CycleStats, DualState, InversionProblem
                      inner_refine, reconstruct_wavefield, update_data_dual,
                      update_source_dual, wri_gradient_m, wri_objective)
 from .workflow import (ContinuationPlan, ConvergenceRecord, InversionSettings, RunResult,
-                       StopReason, StoppingCriteria, check_stop, compute_lambda, estimate_mu1,
-                       run_batch, run_inversion)
+                       StopReason, StoppingCriteria, check_stop, run_batch, run_inversion)
 from .refinement import (DenseProblem, accumulated_rhs_solve, iterative_refine,
                          pseudo_inverse_solve)
 from .presets import BoxSetup, box_anomaly_setup

@@ -24,9 +24,10 @@ from .fileio import (_CONFIG_KEYS, RunConfig, load_config, read_dataset, read_mo
                      write_convergence_csv, write_dataset, write_model_file, write_raster)
 from .grid import velocity_to_slowness_sq
 from .helmholtz import build_kernel, resolve_pml
+from .linalg import power_iteration_mu1
 from .refinement import DenseProblem, accumulated_rhs_solve, iterative_refine, pseudo_inverse_solve
 from .util import stacked_norm
-from .workflow import estimate_mu1, run_batch, run_inversion
+from .workflow import run_batch, run_inversion
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,9 +69,10 @@ def _build_parser():
     return parser
 
 
-def _write_metadata(out_dir, command, config, **fields):
-    """``metadata.json``: the command, resolved config and version, then the command's ``fields``."""
-    payload = {"command": command, "config": config.resolved(), "version": __version__, **fields}
+def _write_metadata(out_dir, command, config, unused=(), **fields):
+    """``metadata.json``: the command, resolved config less ``unused`` keys, version, then ``fields``."""
+    used = {key: value for key, value in config.resolved().items() if key not in unused}
+    payload = {"command": command, "config": used, "version": __version__, **fields}
     (out_dir / "metadata.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="ascii")
 
@@ -148,7 +150,7 @@ def _cmd_mu1(args):
     pml = resolve_pml(settings.pml, model.grid, settings.bounds, m_true)
     kernel = build_kernel(model.grid, 2.0 * math.pi * args.freq, pml, settings.scheme)
     P = build_observation(kernel.topology, config.geometry().receivers)
-    mu1 = estimate_mu1(kernel, m.values, P)
+    mu1 = power_iteration_mu1(kernel.assemble(m.values), P).value
     print(f"mu1 = {mu1:.8e}")
     if args.dense_check:
         n = kernel.topology.n_pad
@@ -192,7 +194,8 @@ def _cmd_scan_lambda(args):
         print(f"fraction {fraction:.3e}: {info.iterations} iterations "
               f"({info.stop_reason.value})")
     (out_dir / "scan_summary.csv").write_text("\n".join(summary) + "\n", encoding="ascii")
-    _write_metadata(out_dir, "scan-lambda", config, fractions=[s.lambda_fraction for s in runs])
+    _write_metadata(out_dir, "scan-lambda", config, unused=("lambda_fraction", "batches", "paths"),
+                    fractions=[s.lambda_fraction for s in runs])
     return 0
 
 

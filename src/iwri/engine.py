@@ -58,6 +58,8 @@ class PenaltyParams:
             raise ParameterError(f"penalty weights must be finite and positive, got {self.lambdas}")
         if not 0.0 < self.alpha <= 1.0:
             raise ParameterError(f"alpha must be in (0, 1], got {self.alpha}")
+        if self.variant is Variant.PRSM and self.alpha == 1.0:
+            raise ParameterError("alpha = 1 does not contract with prsm; use alpha < 1, or admm")
         if self.inner_iterations < 1:
             raise ParameterError("inner_iterations must be >= 1")
         if self.variant is Variant.ADMM and self.inner_iterations != 1:
@@ -72,11 +74,9 @@ class DualState:
     source: tuple  # per frequency, shape (n_pad, n_sources)
 
     @classmethod
-    def zeros(cls, problem):
-        shape_d = (problem.n_receivers, problem.n_sources)
-        shape_b = (problem.n_pad, problem.n_sources)
-        return cls(data=tuple(np.zeros(shape_d, dtype=complex) for _ in problem.frequencies),
-                   source=tuple(np.zeros(shape_b, dtype=complex) for _ in problem.frequencies))
+    def zeros(cls, problem):  # observed data and sources are complex
+        return cls(data=tuple(map(np.zeros_like, problem.observed)),
+                   source=tuple(map(np.zeros_like, problem.sources)))
 
 
 @dataclass(frozen=True)
@@ -204,18 +204,6 @@ class InversionProblem:
             self.m_star = velocity_to_slowness_sq(m_true).values
             self.u_star = [forward_solve(k.assemble(self.m_star), b)
                            for k, b in zip(self.kernels, self.sources)]
-
-    @property
-    def n_receivers(self):
-        return self.geometry.n_receivers
-
-    @property
-    def n_sources(self):
-        return self.geometry.n_sources
-
-    @property
-    def n_pad(self):
-        return self.topology.n_pad
 
 
 def init_state(problem, m0_values):
@@ -415,7 +403,7 @@ def inner_refine(problem, state, params):
     state.m_values, state.assembled, state.u = m, assembled, list(u)
     state.duals, state.box = DualState(data_duals, source_duals), box
     state.k += 1
-    state.pde_solve_count += params.inner_iterations * problem.n_sources * len(problem.kernels)
+    state.pde_solve_count += params.inner_iterations * problem.geometry.n_sources * len(problem.kernels)
     return stats
 
 

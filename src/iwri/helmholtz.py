@@ -9,7 +9,8 @@ where ``Lap`` is the complex-stretched Laplacian (PML factors folded in),
 ``c`` holds the diagonal PML damping coefficients.  Because ``c`` does not
 depend on the model, ``A(m) u = Lap u + L(u) m_pad`` holds to machine
 precision with ``L(u) = omega^2 * S * diag(u)``, which keeps the model
-subproblem of the inversion exactly linear.
+subproblem of the inversion exactly linear.  S is formed per call, on B's
+five diagonals: the corners take no mass weight.
 
 The PML enters the equation in multiplied-through form: with per-axis
 stretch factors ``s = 1 + i*sigma/omega`` the Laplacian coefficients carry
@@ -20,11 +21,12 @@ order (``band_numbering``), so its operators come in their band factor's order.
 
 The 9-point scheme blends the axis-aligned 5-point Laplacian with its
 45-degree rotated counterpart and spreads the mass term over center and
-edge neighbors (the fixed weights of Jo, Shin and Suh 1996).  The rotated
-part is exact only for constant coefficients, so it is applied on cells
-whose full 3x3 patch is undamped; inside the PML the scheme degrades to
-the stretched 5-point form.  Setting the blend weight to 1 and the mass
-spreading to pure lumping recovers the plain 5-point scheme everywhere.
+edge neighbors, none on the corners (the fixed weights of Jo, Shin and Suh
+1996).  The rotated part is exact only for constant coefficients, so it is
+applied on cells whose full 3x3 patch is undamped; inside the PML the
+scheme degrades to the stretched 5-point form.  Setting the blend weight
+to 1 and the mass spreading to pure lumping recovers the plain 5-point
+scheme everywhere.
 """
 
 import functools
@@ -106,27 +108,26 @@ def resolve_pml(pml, grid, bounds, m_true):
 @dataclass(frozen=True)
 class StencilScheme:
     """Blend weight of the axis-aligned Laplacian plus mass-spreading
-    weights (center, the four edge neighbors, the four corners)."""
+    weights (center, the four edge neighbors; the corners take none)."""
 
     laplacian_mix: float = 0.5461
     mass_center: float = 0.6248
     mass_edge: float = 0.0938
-    mass_corner: float = 0.0
 
     def __post_init__(self):
         if not 0.0 < self.laplacian_mix <= 1.0:
             raise ParameterError(f"laplacian_mix must be in (0, 1], got {self.laplacian_mix}")
-        weights = (self.mass_center, self.mass_edge, self.mass_corner)
+        weights = (self.mass_center, self.mass_edge)
         if not all(map(math.isfinite, weights)):
             raise ParameterError(f"mass weights must be finite, got {weights}")
-        total = self.mass_center + 4 * self.mass_edge + 4 * self.mass_corner
+        total = self.mass_center + 4 * self.mass_edge
         if abs(total - 1.0) > 1e-9:
             raise ParameterError(f"mass weights must sum to 1, got {total}")
 
     @classmethod
     def five_point(cls):
         """Degenerate scheme: plain 5-point Laplacian, fully lumped mass."""
-        return cls(laplacian_mix=1.0, mass_center=1.0, mass_edge=0.0, mass_corner=0.0)
+        return cls(laplacian_mix=1.0, mass_center=1.0, mass_edge=0.0)
 
 
 def band_numbering(nz, nx):
@@ -211,8 +212,7 @@ def _grid_parts(grid, pml, scheme):
     shares one build (read only)."""
     topology = pad_topology(grid, pml)
     stencil = _offset_matrix(topology, [((0, 0), scheme.mass_center)]
-                             + [(off, scheme.mass_edge) for off in ((0, 1), (0, -1), (1, 0), (-1, 0))]
-                             + [((dz, dx), scheme.mass_corner) for dz in (-1, 1) for dx in (-1, 1)])
+                             + [(off, scheme.mass_edge) for off in ((0, 1), (0, -1), (1, 0), (-1, 0))])
     return topology, stencil
 
 
@@ -228,10 +228,10 @@ class HelmholtzKernel:
     """Frequency-specific operator pieces on the padded grid.
 
     Holds the stretched Laplacian, the real mass-spreading stencil B
-    (``stencil``), the PML damping c (``damping``), the mass matrix
-    S = B diag(c) (``mass_basis``) formed from them, and the physical/padded
-    index maps, all ``dia_matrix``es in the padded grid's band numbering;
-    Lap and S share A(m)'s offsets, so A(m) is one sum of their diagonals.
+    (``stencil``), the PML damping c (``damping``) and the physical/padded
+    index maps, the matrices as ``dia_matrix``es in the padded grid's band
+    numbering.  A(m) has Lap's offsets, and B's five are among them; the
+    mass matrix S = B diag(c) is formed per call on B's diagonals only.
     """
 
     def __init__(self, grid, omega, pml, scheme):
@@ -263,17 +263,11 @@ class HelmholtzKernel:
         a_zm = sx_c[None, :] / sz_f[:-1, None] * weight
         dx2, dz2 = gp.dx**2, gp.dz**2
         rot = np.where(mixed, (1.0 - mix) / (2.0 * dx2), 0.0)
-        laplacian = _offset_matrix(self.topology, [
+        self.laplacian = _offset_matrix(self.topology, [
             ((0, 0), -(a_xp + a_xm) / dx2 - (a_zp + a_zm) / dz2), ((0, 0), -4.0 * rot),
             ((0, 1), a_xp / dx2), ((0, -1), a_xm / dx2), ((1, 0), a_zp / dz2), ((-1, 0), a_zm / dz2),
         ] + [((dz, dx), rot) for dz in (-1, 1) for dx in (-1, 1)])
-
-        # Lap and S = B diag(c) (c scales each column) on A's offsets, their union
-        B, offsets = self.stencil, np.union1d(laplacian.offsets, self.stencil.offsets)
-        data = np.zeros((2, offsets.size, gp.n), dtype=complex)
-        data[0, np.searchsorted(offsets, laplacian.offsets)] = laplacian.data
-        data[1, np.searchsorted(offsets, B.offsets)] = B.data * self.damping
-        self.laplacian, self.mass_basis = (sp.dia_matrix((d, offsets), shape=B.shape) for d in data)
+        self._mass_rows = np.searchsorted(self.laplacian.offsets, self.stencil.offsets)  # B's among A's
 
     # -- operations --------------------------------------------------------
 
@@ -286,18 +280,21 @@ class HelmholtzKernel:
         return m_values[self.topology.phys_of_pad]
 
     def scaled_mass(self, coeff):
-        """omega^2 * S * diag(coeff) as a sparse matrix; for a wavefield u this
-        is the mass linearization L(u), with A(m) u = Lap u + L(u) m_pad."""
+        """omega^2 * B diag(c * coeff) on B's diagonals (c scales each column);
+        for a wavefield u this is the mass linearization L(u), with
+        A(m) u = Lap u + L(u) m_pad."""
         coeff = np.asarray(coeff)
         if coeff.shape[0] != self.topology.n_pad:
             raise ShapeError(f"vector has length {coeff.shape[0]}, padded grid holds {self.topology.n_pad}")
-        S = self.mass_basis
-        return sp.dia_matrix((self.omega**2 * S.data * coeff, S.offsets), shape=S.shape)
+        B = self.stencil
+        return sp.dia_matrix((self.omega**2 * (B.data * self.damping) * coeff, B.offsets), shape=B.shape)
 
     def assemble(self, m_values):
         """A(m) for a physical squared-slowness vector."""
-        mass = self.scaled_mass(self.pad_model(m_values))
-        return sp.dia_matrix((self.laplacian.data + mass.data, mass.offsets), shape=mass.shape)
+        data = self.laplacian.data.copy()
+        for row, mass in zip(self._mass_rows, self.scaled_mass(self.pad_model(m_values)).data):
+            data[row] += mass  # row by row: no gathered copy of B's rows
+        return sp.dia_matrix((data, self.laplacian.offsets), shape=self.laplacian.shape)
 
 
 def build_kernel(grid, omega, pml, scheme):

@@ -89,14 +89,6 @@ def check_stop(k, stats, criteria, noise_level):
     return StopReason.CONTINUE
 
 
-def compute_lambda(mu1, fraction):
-    """Penalty weight as a fraction of the largest data-resolution eigenvalue."""
-    if not (0 < mu1 < math.inf and 0 < fraction < math.inf):
-        raise ParameterError(f"mu1 and fraction must be finite and positive, "
-                             f"got {mu1} and {fraction}")
-    return float(mu1) * float(fraction)
-
-
 @dataclass(frozen=True)
 class ContinuationPlan:
     """Ordered frequency batches plus the starting batch index of each
@@ -133,18 +125,19 @@ class InversionSettings:
         # checked before any batch, whose weights are mu1 * lambda_fraction
         if not 0 < self.lambda_fraction < math.inf:
             raise ParameterError(f"lambda_fraction must be finite and positive, got {self.lambda_fraction}")
-        PenaltyParams((self.lambda_fraction,), self.alpha, self.variant, self.inner_iterations)
+        self.penalty((1.0,))
 
-
-def estimate_mu1(kernel, m_values, P):
-    """Largest eigenvalue of A(m)^{-H} P^H P A(m)^{-1}."""
-    return power_iteration_mu1(kernel.assemble(m_values), P).value
+    def penalty(self, mu1):
+        """The penalty parameters of a batch whose largest data-resolution
+        eigenvalue is mu1[i] at frequency i: weights mu1 * lambda_fraction."""
+        return PenaltyParams(tuple(float(v) * self.lambda_fraction for v in mu1), self.alpha,
+                             self.variant, self.inner_iterations)
 
 
 @dataclass
 class BatchInfo:
     mu1: list
-    lambdas: list
+    lambdas: tuple
     initial_pde_misfit: float
     stop_reason: StopReason
     iterations: int
@@ -171,13 +164,10 @@ def run_batch(model_in, dataset, settings, criteria, *, m_true=None,
     mu1 = []
     for f, kern in zip(problem.frequencies, problem.kernels):
         try:
-            mu1.append(estimate_mu1(kern, model_in.values, problem.P))
+            mu1.append(power_iteration_mu1(kern.assemble(model_in.values), problem.P).value)
         except FactorizationError as exc:
             raise SolverError(f"mu1 estimation failed: {exc}", frequency=f) from exc
-    lambdas = [compute_lambda(v, settings.lambda_fraction) for v in mu1]
-    params = PenaltyParams(lambdas=tuple(lambdas), alpha=settings.alpha,
-                           variant=settings.variant,
-                           inner_iterations=settings.inner_iterations)
+    params = settings.penalty(mu1)
 
     state = init_state(problem, model_in.values)
     record = ConvergenceRecord()
@@ -197,7 +187,7 @@ def run_batch(model_in, dataset, settings, criteria, *, m_true=None,
                 and stats.pde_misfit <= pde_stop_fraction * initial_pde):
             reason = StopReason.THRESHOLD
 
-    info = BatchInfo(mu1=mu1, lambdas=lambdas, initial_pde_misfit=initial_pde,
+    info = BatchInfo(mu1=mu1, lambdas=params.lambdas, initial_pde_misfit=initial_pde,
                      stop_reason=reason, iterations=state.k, model_warnings=model_warnings)
     return SlownessSqModel(grid, state.m_values.copy()), record, info
 

@@ -25,7 +25,7 @@ from iwri.engine import (InversionProblem, PenaltyParams, Variant, init_state,
 from iwri.linalg import assemble_normal_matrix, factorize, power_iteration_mu1
 from iwri.presets import box_anomaly_setup
 from iwri.refinement import DenseProblem, accumulated_rhs_solve, iterative_refine
-from iwri.workflow import compute_lambda, estimate_mu1
+from iwri.workflow import InversionSettings
 
 
 def _line(num, name, ok, detail):
@@ -51,8 +51,9 @@ class BoxRuns:
         self.problem = InversionProblem(grid, self.pml, self.scheme, self.dataset,
                                         bounds=self.setup.bounds,
                                         m_true=self.setup.true_model)
-        self.lambdas = tuple(compute_lambda(estimate_mu1(kern, self.m0.values, self.problem.P),
-                                            1e-4) for kern in self.problem.kernels)
+        self.lambdas = InversionSettings(lambda_fraction=1e-4).penalty(
+            [power_iteration_mu1(kern.assemble(self.m0.values), self.problem.P).value
+             for kern in self.problem.kernels]).lambdas
         self.runs = {}
         self.wall = {}
 
@@ -254,7 +255,7 @@ def test_criterion_05_running_sum_duals():
     state = init_state(problem, np.full(problem.grid.n, 1.0 / 1850.0**2))
     k_cycles = 6
     sum_d = [np.zeros_like(problem.observed[i]) for i in range(2)]
-    sum_b = [np.zeros((problem.n_pad, 1), dtype=complex) for _ in range(2)]
+    sum_b = [np.zeros((problem.topology.n_pad, 1), dtype=complex) for _ in range(2)]
     for _ in range(k_cycles):
         inner_refine(problem, state, params)
         for i, kern in enumerate(problem.kernels):

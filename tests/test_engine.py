@@ -7,7 +7,7 @@ import scipy.sparse as sp
 
 from iwri.errors import ParameterError, ShapeError, SolverError
 from iwri.grid import Bounds, Grid2D, VelocityModel, velocity_to_slowness_sq
-from iwri.helmholtz import PmlConfig, StencilScheme
+from iwri.helmholtz import PmlConfig, StencilScheme, _grid_parts
 from iwri.acquisition import AcquisitionGeometry, FrequencyDataset, add_noise, synthesize_data
 from iwri.engine import (BoxConstraintState, InversionProblem, ModelNormalPlan, PenaltyParams,
                          Variant, estimate_model, init_state, inner_refine,
@@ -15,9 +15,9 @@ from iwri.engine import (BoxConstraintState, InversionProblem, ModelNormalPlan, 
                          wri_gradient_m, wri_objective)
 import iwri.engine as engine
 import iwri.linalg as la
-from iwri.linalg import assemble_normal_matrix, factorize
+from iwri.linalg import assemble_normal_matrix, factorize, power_iteration_mu1
 from iwri.presets import box_anomaly_setup
-from iwri.workflow import InversionSettings, compute_lambda, estimate_mu1
+from iwri.workflow import InversionSettings
 
 from tests_helpers_toy import filled_split_buffer, split_buffer_oracle
 
@@ -50,7 +50,7 @@ def dense_stacked_solve(A, P, lam, d_eff, b_eff):
 def test_reconstruct_matches_dense_stacked_lstsq(rng):
     problem, m_true, dataset = tiny_problem()
     kern = problem.kernels[0]
-    n_pad = problem.n_pad
+    n_pad = problem.topology.n_pad
     for trial in range(20):
         m = np.asarray(rng.uniform(1.0 / 2100.0**2, 1.0 / 1500.0**2, problem.grid.n))
         lam = float(10.0 ** rng.uniform(-2, 3))
@@ -287,7 +287,7 @@ def test_admm_running_sum_identity():
     params = PenaltyParams(lambdas=(3.0, 1.0), alpha=1.0, variant=Variant.ADMM)
     state = init_state(problem, np.full(problem.grid.n, 1.0 / 1850.0**2))
     sum_d = [np.zeros_like(problem.observed[i]) for i in range(2)]
-    sum_b = [np.zeros((problem.n_pad, 1), dtype=complex) for _ in range(2)]
+    sum_b = [np.zeros((problem.topology.n_pad, 1), dtype=complex) for _ in range(2)]
     for _ in range(5):
         inner_refine(problem, state, params)
         for i, kern in enumerate(problem.kernels):
@@ -425,7 +425,7 @@ def test_shared_layouts_factor_bit_equal_to_fresh(rng):
     # factor as H from a fresh read of A and a fresh plan do
     setup, problem = _box_problem()
     m = velocity_to_slowness_sq(setup.true_model).values
-    n_pad = problem.n_pad
+    n_pad = problem.topology.n_pad
     phys = problem.phys_ordering
     systems = []  # (band order, system through the shared maps, through fresh ones)
     for k in problem.kernels:
@@ -469,8 +469,9 @@ def test_diagonal_fill_equals_gathered_csr(rng):
             pairs.append((filled_split_buffer(new, complex), split_buffer_oracle(csr, None, complex)))
     natural = ModelNormalPlan(problem.topology, problem.kernels[0].stencil,
                               np.arange(problem.grid.n))
+    shape = (3, problem.topology.n_pad, 1)
     for _ in range(2):
-        us = rng.standard_normal((3, problem.n_pad, 1)) + 1j * rng.standard_normal((3, problem.n_pad, 1))
+        us = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         gamma = 0.1 * float(np.mean(natural.matrix(problem.kernels, us).diagonal()))
         csr = natural.matrix(problem.kernels, us).tocsr() + gamma * sp.identity(problem.grid.n)
         new = engine._add_to_diagonal(problem.model_normal.matrix(problem.kernels, us), gamma)
@@ -491,7 +492,7 @@ def test_model_normal_plan_matches_product_loop(rng):
         dataset = FrequencyDataset(frequencies=setup.frequencies, geometry=geom,
                                    data=[np.zeros((geom.n_receivers, n_src))] * 3, noise_level=[1.0] * 3)
         problem = InversionProblem(grid, PmlConfig(), StencilScheme(), dataset, bounds=setup.bounds)
-        n_pad = problem.n_pad
+        n_pad = problem.topology.n_pad
         R = sp.csr_matrix((np.ones(n_pad), (np.arange(n_pad), problem.topology.phys_of_pad)),
                           shape=(n_pad, grid.n))
         us = rng.standard_normal((3, n_pad, n_src)) + 1j * rng.standard_normal((3, n_pad, n_src))
@@ -518,7 +519,8 @@ def test_model_normal_offsets_are_those_of_the_stencil_pattern(rng):
     G = (kern.stencil.T @ kern.stencil).tocoo()
     inv, phys = np.argsort(problem.phys_ordering), kern.topology.phys_of_pad
     expected = np.unique(inv[phys[G.col]] - inv[phys[G.row]])
-    us = rng.standard_normal((3, problem.n_pad, 1)) + 1j * rng.standard_normal((3, problem.n_pad, 1))
+    shape = (3, problem.topology.n_pad, 1)
+    us = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     normal = problem.model_normal.matrix(problem.kernels, us)
     assert np.array_equal(problem.model_normal.offsets, expected)
     assert np.array_equal(normal.offsets, expected)
@@ -526,22 +528,26 @@ def test_model_normal_offsets_are_those_of_the_stencil_pattern(rng):
 
 
 def test_model_normal_plan_same_from_every_kernel(rng):
-    # each kernel holds the same exact stencil B, so the plan built from any
-    # frequency's kernel fills a bit-identical N
+    # every kernel and the plan hold the one topology and B that
+    # _grid_parts keeps for (grid, PML, scheme), so one plan serves every
+    # frequency; another scheme is another key, with another B and N
     setup = box_anomaly_setup()
-    geom = setup.geometry
+    geom, grid = setup.geometry, setup.true_model.grid
     dataset = FrequencyDataset(frequencies=setup.frequencies, geometry=geom,
                                data=[np.zeros((geom.n_receivers, geom.n_sources))] * 3,
                                noise_level=[1.0] * 3)
-    problem = InversionProblem(setup.true_model.grid, PmlConfig(), StencilScheme(), dataset,
-                               bounds=setup.bounds)
-    shape = (3, problem.n_pad, geom.n_sources)
-    us = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    plans = [ModelNormalPlan(k.topology, k.stencil, problem.phys_ordering) for k in problem.kernels]
-    first, *others = [plan.matrix(problem.kernels, us) for plan in plans]
-    for normal in others:
-        for part in ("data", "offsets"):
-            assert np.array_equal(getattr(normal, part), getattr(first, part))
+    stencils, normals = [], []
+    for scheme in (StencilScheme(), StencilScheme.five_point()):
+        problem = InversionProblem(grid, PmlConfig(), scheme, dataset, bounds=setup.bounds)
+        topology, stencil = _grid_parts(grid, problem.pml, scheme)
+        assert all(k.topology is topology and k.stencil is stencil for k in problem.kernels)
+        assert problem.model_normal.stencil is stencil
+        shape = (3, topology.n_pad, geom.n_sources)
+        us = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        stencils.append(stencil)
+        normals.append(problem.model_normal.matrix(problem.kernels, us))
+    assert stencils[0].offsets.size == 5 and stencils[1].offsets.tolist() == [0]
+    assert normals[0].offsets.size > 1 and normals[1].offsets.tolist() == [0]  # lumped: N diagonal
 
 
 def test_wavefield_breakdown_names_padded_grid_cell(monkeypatch):
@@ -550,7 +556,7 @@ def test_wavefield_breakdown_names_padded_grid_cell(monkeypatch):
     problem, m_true, dataset = tiny_problem(nx=9, nz=6)
     gp = problem.topology.grid_pad
     assert problem.topology.order == "F" and (gp.nx, gp.nz) == (15, 12)
-    n, bad = problem.n_pad, 5 * gp.nz + 2  # padded cell (ix, iz) = (5, 2)
+    n, bad = problem.topology.n_pad, 5 * gp.nz + 2  # padded cell (ix, iz) = (5, 2)
     diagonal = np.ones(n, dtype=complex)
     diagonal[bad] = -1.0
     monkeypatch.setattr(engine, "assemble_normal_matrix",
@@ -577,7 +583,7 @@ def test_wavefield_system_factored_in_its_own_order(monkeypatch):
     assert [c[:2] for c in calls[:3]] == [(True, 182)] * 3
     assert all(ordering is None for *_, ordering in calls[:3])
     assert len(calls) == 4 and calls[3][2] is problem.phys_ordering
-    assert np.array_equal(problem.pad_ordering, np.arange(problem.n_pad))
+    assert np.array_equal(problem.pad_ordering, np.arange(problem.topology.n_pad))
 
 
 def test_model_breakdown_names_physical_cell():
@@ -613,8 +619,9 @@ def test_wavefield_adjoint_product_equals_csc_product(rng):
 
     setup, problem = _box_problem()
     m = velocity_to_slowness_sq(setup.initial_model).values
-    d = rng.standard_normal((problem.n_receivers, 2)) + 1j * rng.standard_normal((problem.n_receivers, 2))
-    b = rng.standard_normal((problem.n_pad, 2)) + 1j * rng.standard_normal((problem.n_pad, 2))
+    n_rec, n_pad = problem.geometry.n_receivers, problem.topology.n_pad
+    d = rng.standard_normal((n_rec, 2)) + 1j * rng.standard_normal((n_rec, 2))
+    b = rng.standard_normal((n_pad, 2)) + 1j * rng.standard_normal((n_pad, 2))
     P = problem.P
     for kern in problem.kernels:
         A = kern.assemble(m)
@@ -662,6 +669,15 @@ def test_admm_rejects_inner_iterations():
         PenaltyParams(lambdas=(1.0,), variant=Variant.ADMM, inner_iterations=2)
 
 
+def test_alpha_one_rejected_for_prsm_only():
+    # alpha = 1 does not contract with prsm's two source-dual steps; admm's
+    # single ascent is alpha = 1 by construction, and wri ignores alpha
+    with pytest.raises(ParameterError, match="does not contract with prsm.*admm"):
+        PenaltyParams(lambdas=(1.0,), alpha=1.0, variant=Variant.PRSM)
+    for variant in (Variant.ADMM, Variant.WRI):
+        assert PenaltyParams(lambdas=(1.0,), alpha=1.0, variant=variant).alpha == 1.0
+
+
 @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
 def test_engine_matches_dense_reference(variant):
     """Four cycles against an independently coded dense reference: wri
@@ -678,11 +694,11 @@ def test_engine_matches_dense_reference(variant):
     mid_step = variant is Variant.PRSM
     alpha = 0.5 if mid_step else 1.0
     P = problem.P.toarray()
-    R = np.zeros((problem.n_pad, problem.grid.n))
-    R[np.arange(problem.n_pad), problem.topology.phys_of_pad] = 1.0
+    R = np.zeros((problem.topology.n_pad, problem.grid.n))
+    R[np.arange(problem.topology.n_pad), problem.topology.phys_of_pad] = 1.0
     m = np.full(problem.grid.n, 1.0 / 1850.0**2)
     d_dual = [np.zeros(2, dtype=complex) for _ in range(2)]
-    b_dual = [np.zeros(problem.n_pad, dtype=complex) for _ in range(2)]
+    b_dual = [np.zeros(problem.topology.n_pad, dtype=complex) for _ in range(2)]
     u_ref = [None, None]
     for _ in range(cycles):
         A = [k.assemble(m).toarray() for k in problem.kernels]
@@ -700,7 +716,8 @@ def test_engine_matches_dense_reference(variant):
         GG, gg = np.zeros((problem.grid.n,) * 2), np.zeros(problem.grid.n)
         for i, kern in enumerate(problem.kernels):
             b = problem.sources[i][:, 0]
-            Lfull = (kern.omega**2 * kern.mass_basis.toarray() * u_ref[i][None, :]) @ R
+            S = kern.stencil.toarray() * kern.damping[None, :]
+            Lfull = (kern.omega**2 * S * u_ref[i][None, :]) @ R
             y = b + b_dual[i] - kern.laplacian.toarray() @ u_ref[i]
             GG += np.real(Lfull.conj().T @ Lfull)
             gg += np.real(Lfull.conj().T @ y)
@@ -723,7 +740,7 @@ def test_linearized_objective_identity(rng):
     # || L(u) m_pad - y ||^2 equals || A(m) u - b - b_half ||^2 for all m
     problem, m_true, dataset = tiny_problem()
     kern = problem.kernels[0]
-    n_pad = problem.n_pad
+    n_pad = problem.topology.n_pad
     u = rng.standard_normal(n_pad) + 1j * rng.standard_normal(n_pad)
     b_eff = problem.sources[0][:, 0] + 0.1 * rng.standard_normal(n_pad)
     for _ in range(5):
@@ -745,12 +762,12 @@ def test_nonpositive_model_iterate_fails_fast():
                                         settings.pml, settings.scheme, f0=setup.f0), -10.0, 0)
     problem = InversionProblem(m_true.grid, settings.pml, settings.scheme, dataset,
                                m_true=setup.true_model, bounds_mode="clip")
-    lambdas = [compute_lambda(estimate_mu1(k, m0, problem.P),
-                              settings.lambda_fraction) for k in problem.kernels]
+    params = settings.penalty([power_iteration_mu1(k.assemble(m0), problem.P).value
+                               for k in problem.kernels])
     state = init_state(problem, m0)
     with pytest.raises(SolverError) as info:
         for _ in range(5):
-            inner_refine(problem, state, PenaltyParams(lambdas=lambdas))
+            inner_refine(problem, state, params)
     assert info.value.iteration == state.k
     assert info.value.frequency == setup.frequencies
     assert "(2.5, 5.0, 7.0) Hz" in str(info.value)

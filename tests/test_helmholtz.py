@@ -50,7 +50,7 @@ def test_resolve_pml_reference_velocity():
 
 def test_scheme_validation():
     with pytest.raises(ParameterError):
-        StencilScheme(mass_center=0.9, mass_edge=0.1, mass_corner=0.0)
+        StencilScheme(mass_center=0.9, mass_edge=0.1)
     with pytest.raises(ParameterError):
         StencilScheme(laplacian_mix=0.0)
     for bad in ({"mass_center": np.nan, "mass_edge": 0.0},  # a NaN sum passes a sum check
@@ -456,9 +456,10 @@ def _assert_same_entries(M, csr):
 
 
 def test_operators_equal_csr_built_from_offset_tables(monkeypatch, rng):
-    # on the box at its three frequencies, the diagonal-stored Lap, B, S and
-    # A(m) hold exactly the entries of CSR matrices built from the same
-    # offset tables, and no diagonal that is zero in all of them
+    # on the box at its three frequencies, the diagonal-stored Lap, B,
+    # omega^2 S diag(m) and A(m) hold exactly the entries of CSR matrices
+    # built from the same offset tables, and no diagonal that is zero in all
+    # of them; S diag(coeff) is formed on B's diagonals only
     import iwri.helmholtz as helmholtz
     from iwri.presets import box_anomaly_setup
 
@@ -482,16 +483,23 @@ def test_operators_equal_csr_built_from_offset_tables(monkeypatch, rng):
         lap = _csr_of_offset_table(topo, table)
         S = sp.csr_matrix((B.data * kern.damping[B.indices], B.indices, B.indptr), shape=B.shape)
         m_pad = kern.pad_model(m)
-        A = (lap + sp.csr_matrix((kern.omega**2 * S.data * m_pad[S.indices], S.indices, S.indptr),
-                                 shape=S.shape)).tocsr()
-        assembled = kern.assemble(m)
-        for M, csr in ((kern.stencil, B), (kern.laplacian, lap), (kern.mass_basis, S), (assembled, A)):
+        mass = sp.csr_matrix((kern.omega**2 * S.data * m_pad[S.indices], S.indices, S.indptr),
+                             shape=S.shape)
+        A = (lap + mass).tocsr()
+        assembled, scaled = kern.assemble(m), kern.scaled_mass(m_pad)
+        for M, csr in ((kern.stencil, B), (kern.laplacian, lap), (scaled, mass), (assembled, A)):
             assert M.format == "dia"
             _assert_same_entries(M, csr)
         assert kern.stencil.offsets.size == 5
-        for M in (kern.stencil, kern.laplacian, assembled):
+        for M in (kern.stencil, kern.laplacian, scaled, assembled):
             assert np.all(np.any(M.data != 0, axis=1))
-        assert np.array_equal(kern.mass_basis.offsets, kern.laplacian.offsets)
+        assert np.array_equal(assembled.offsets, kern.laplacian.offsets)
+        assert np.all(np.isin(kern.stencil.offsets, kern.laplacian.offsets))
+        # scaled_mass holds B's offsets and omega^2 (B c) coeff to the bit
+        coeff = r[:, 0]
+        L = kern.scaled_mass(coeff)
+        assert np.array_equal(L.offsets, kern.stencil.offsets)
+        assert np.array_equal(L.data, kern.omega**2 * (kern.stencil.data * kern.damping) * coeff)
         # B is symmetric, so B r is the oracle's B^T r to the bit
         assert np.array_equal(kern.stencil @ r, B.T @ r)
         _assert_same_entries(kern.stencil.T, B)

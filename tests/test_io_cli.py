@@ -327,6 +327,7 @@ _BAD_RUN_SETTINGS = [  # (arguments, config lines, what the message must say)
      "error: --fractions: lambda_fraction must be finite and positive, got -1.0"),
     (["scan-lambda", "--fractions", "nan"], "",
      "error: --fractions: lambda_fraction must be finite and positive, got nan"),
+    (["invert", "--alpha", "1"], "", "error: alpha = 1 does not contract with prsm"),
 ]
 
 
@@ -474,17 +475,23 @@ def test_cli_scan_lambda(tmp_path):
     assert len(list((tmp_path / "scan").glob("scan_*.csv"))) == 3  # 2 runs + summary
 
 
-def test_cli_scan_lambda_fraction_is_invert_on_the_same_data(tmp_path):
-    # a scan fraction runs what `invert --lambda-fraction` runs on one batch
-    # of all frequencies, on the same data: noise is added by the same rule
+def box_config(tmp_path):
+    """Models of the 40x28 box in ``tmp_path`` and the config lines that
+    read them, with the data at fwd/dataset.iwd."""
     setup = box_anomaly_setup(nx=40, nz=28, dx=25.0)
     write_model_file(setup.true_model, tmp_path / "true.mod")
     write_model_file(setup.initial_model, tmp_path / "init.mod")
     points = lambda pts: ";".join(f"{x!r},{z!r}" for x, z in pts)
-    base = ("true_model = true.mod\ninitial_model = init.mod\ndata = fwd/dataset.iwd\n"
+    return ("true_model = true.mod\ninitial_model = init.mod\ndata = fwd/dataset.iwd\n"
             f"sources = {points(setup.geometry.sources)}\n"
             f"receivers = {points(setup.geometry.receivers)}\n"
             "frequencies = 2.5 5\nv_min = 1800\nv_max = 2100\n")
+
+
+def test_cli_scan_lambda_fraction_is_invert_on_the_same_data(tmp_path):
+    # a scan fraction runs what `invert --lambda-fraction` runs on one batch
+    # of all frequencies, on the same data: noise is added by the same rule
+    base = box_config(tmp_path)
     (tmp_path / "fwd.cfg").write_text(base)  # noiseless data
     cfg = tmp_path / "run.cfg"
     cfg.write_text(base + "snr_db = 20\nnoise_seed = 3\nk_max = 3\ndelta = 1e-300\neps_n = 1e-300\n")
@@ -495,6 +502,23 @@ def test_cli_scan_lambda_fraction_is_invert_on_the_same_data(tmp_path):
                          "--out", str(tmp_path / "scan")]) == 0
     assert ((tmp_path / "scan" / "scan_1.000e-04.csv").read_bytes()
             == (tmp_path / "inv" / "convergence_p0_b0.csv").read_bytes())
+
+
+def test_cli_scan_metadata_records_only_settings_it_used(tmp_path):
+    # a scan runs one batch of all frequencies per --fractions value, so its
+    # config omits lambda_fraction, batches and paths; invert's keeps them
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(box_config(tmp_path) + "batches = 2.5 | 5\npaths = 0 1\nk_max = 2\n")
+    for argv in (["forward"], ["invert"], ["scan-lambda", "--fractions", "1e-4,1e-2"]):
+        out = tmp_path / ("fwd" if argv[0] == "forward" else argv[0])
+        assert cli_dispatch([*argv, "--config", str(cfg), "--out", str(out)]) == 0
+    unused = {"lambda_fraction", "batches", "paths"}
+    invert = json.loads((tmp_path / "invert" / "metadata.json").read_text())
+    scan = json.loads((tmp_path / "scan-lambda" / "metadata.json").read_text())
+    assert invert["config"] == load_config(cfg).resolved() and unused <= set(invert["config"])
+    assert scan["config"] == {key: value for key, value in invert["config"].items()
+                              if key not in unused}
+    assert scan["fractions"] == [1e-4, 1e-2]
 
 
 def test_cli_inverting_commands_add_no_noise_to_noisy_data(tmp_path, capsys):

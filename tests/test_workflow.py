@@ -6,9 +6,9 @@ from iwri.errors import ConfigError, ParameterError, SolverError
 from iwri.grid import Bounds, Grid2D, VelocityModel, build_homogeneous, velocity_to_slowness_sq
 from iwri.helmholtz import PmlConfig, StencilScheme
 from iwri.acquisition import AcquisitionGeometry, synthesize_data
-from iwri.engine import CycleStats
+from iwri.engine import CycleStats, PenaltyParams, Variant
 from iwri.workflow import (ContinuationPlan, InversionSettings, StopReason, StoppingCriteria,
-                           check_stop, compute_lambda, run_batch, run_inversion)
+                           check_stop, run_batch, run_inversion)
 
 
 def stats(pde, data_per_freq):
@@ -21,23 +21,26 @@ def stats(pde, data_per_freq):
     )
 
 
-def test_compute_lambda():
-    assert compute_lambda(1e7, 1e-4) == 1e3
-    assert compute_lambda(3.5, 1.0) == 3.5
+def test_settings_penalty():
+    # each weight is mu1 * lambda_fraction, with the settings' dual strategy
+    params = InversionSettings(lambda_fraction=1e-4, alpha=0.25, variant=Variant.WRI,
+                               inner_iterations=3).penalty([1e7, 2e7])
+    assert params == PenaltyParams((1e3, 2e3), 0.25, Variant.WRI, 3)
+    assert InversionSettings(lambda_fraction=1.0).penalty((3.5,)).lambdas == (3.5,)
     with pytest.raises(ParameterError):
-        compute_lambda(-1.0, 1e-4)
+        InversionSettings().penalty((-1.0,))
     with pytest.raises(ParameterError):
-        compute_lambda(1.0, 0.0)
+        InversionSettings(lambda_fraction=0.0)
     # the sensitivity-scan grid spans twelve decades
     fractions = [10.0**e for e in range(-9, 4)]
-    lams = [compute_lambda(1e7, f) for f in fractions]
+    lams = [InversionSettings(lambda_fraction=f).penalty((1e7,)).lambdas[0] for f in fractions]
     assert lams[0] == 1e-2 and lams[-1] == 1e10
 
 
 @pytest.mark.parametrize("mu1, fraction", [(np.nan, 1e-4), (np.inf, 1e-4), (1e7, np.nan)])
-def test_compute_lambda_rejects_nonfinite(mu1, fraction):
+def test_settings_penalty_rejects_nonfinite(mu1, fraction):
     with pytest.raises(ParameterError):
-        compute_lambda(mu1, fraction)
+        InversionSettings(lambda_fraction=fraction).penalty((mu1,))
 
 
 def test_check_stop_truth_table(rng):
