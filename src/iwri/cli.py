@@ -95,7 +95,10 @@ def _cmd_forward(args):
                               settings.pml, settings.scheme, f0=config.value("f0"))
     dataset = add_noise(dataset, config.snr_db(), config.value("noise_seed"))
     write_dataset(dataset, out_dir / "dataset.iwd")
-    _write_metadata(out_dir, "forward", config, n_frequencies=dataset.n_frequencies)
+    _write_metadata(out_dir, "forward", config, unused=(
+        "alpha", "batches", "bounds_mode", "data", "delta", "eps_n", "initial_model", "inner_n",
+        "k_max", "lambda_fraction", "paths", "v_max", "v_min", "variant"),
+        n_frequencies=dataset.n_frequencies)
     print(f"wrote {out_dir / 'dataset.iwd'} "
           f"({dataset.n_frequencies} frequencies, {dataset.geometry.n_sources} sources, "
           f"{dataset.geometry.n_receivers} receivers)")
@@ -149,13 +152,13 @@ def _cmd_mu1(args):
     m_true = read_model_file(config.path("true_model")) if config.has("true_model") else None
     pml = resolve_pml(settings.pml, model.grid, settings.bounds, m_true)
     kernel = build_kernel(model.grid, 2.0 * math.pi * args.freq, pml, settings.scheme)
+    n = kernel.topology.n_pad
+    if args.dense_check and n > 200:
+        raise ConfigError(f"--dense-check needs <= 200 unknowns, padded grid has {n}")
     P = build_observation(kernel.topology, config.geometry().receivers)
     mu1 = power_iteration_mu1(kernel.assemble(m.values), P).value
     print(f"mu1 = {mu1:.8e}")
     if args.dense_check:
-        n = kernel.topology.n_pad
-        if n > 200:
-            raise ConfigError(f"--dense-check needs <= 200 unknowns, padded grid has {n}")
         A = kernel.assemble(m.values).toarray()
         G = np.linalg.solve(A, np.eye(n))
         PG = P @ G
@@ -168,22 +171,28 @@ def _cmd_mu1(args):
 def _cmd_scan_lambda(args):
     config = load_config(args.config)
     base, criteria = config.settings(), config.criteria()
+    values = [v for v in args.fractions.split(",") if v]
     try:  # each fraction is checked as the lambda_fraction of its run, before any run
-        runs = [replace(base, lambda_fraction=float(v)) for v in args.fractions.split(",") if v]
+        runs = [replace(base, lambda_fraction=float(v)) for v in values]
     except (ValueError, ParameterError) as exc:
         raise ConfigError(f"--fractions: {exc}") from exc
     if not runs:
         raise ConfigError("--fractions must list at least one value")
+    tags = {}  # output tag -> the fraction as given
+    for value, settings in zip(values, runs):
+        tag = f"{settings.lambda_fraction:.3e}".replace("+", "")
+        if tag in tags:
+            raise ConfigError(f"--fractions: {tags[tag]} and {value} both write scan_{tag}.csv")
+        tags[tag] = value
 
     initial, dataset, m_true, out_dir = _run_inputs(config, args.out)
     m0 = velocity_to_slowness_sq(initial)
 
     summary = ["fraction,iterations,stop_reason,final_pde_misfit,final_data_misfit,final_model_error"]
-    for settings in runs:
+    for settings, tag in zip(runs, tags):
         fraction = settings.lambda_fraction
         _, record, info = run_batch(m0, dataset, settings, criteria, m_true=m_true,
                                     pde_stop_fraction=1e-3)
-        tag = f"{fraction:.3e}".replace("+", "")
         write_convergence_csv(record, out_dir / f"scan_{tag}.csv")
         err = record.model_error[-1]
         summary.append(",".join([

@@ -13,6 +13,7 @@ from .errors import ConfigError, FactorizationError, ParameterError, SolverError
 from .grid import SlownessSqModel, slowness_sq_to_velocity, velocity_to_slowness_sq
 from .helmholtz import PmlConfig, StencilScheme
 from .linalg import power_iteration_mu1
+from .util import release_free_memory
 
 
 @dataclass
@@ -157,6 +158,9 @@ def run_batch(model_in, dataset, settings, criteria, *, m_true=None,
     if not isinstance(model_in, SlownessSqModel):
         raise ParameterError("run_batch expects a squared-slowness model")
     grid = model_in.grid
+    # the last batch's freed pages go back to the system, so this batch's
+    # set-up (its SuperLU factors) does not stack on them
+    release_free_memory()
     problem = InversionProblem(grid, settings.pml, settings.scheme, dataset,
                                bounds=settings.bounds, m_true=m_true,
                                bounds_mode=settings.bounds_mode)

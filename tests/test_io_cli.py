@@ -328,6 +328,11 @@ _BAD_RUN_SETTINGS = [  # (arguments, config lines, what the message must say)
     (["scan-lambda", "--fractions", "nan"], "",
      "error: --fractions: lambda_fraction must be finite and positive, got nan"),
     (["invert", "--alpha", "1"], "", "error: alpha = 1 does not contract with prsm"),
+    # two fractions with one output tag would overwrite one file
+    (["scan-lambda", "--fractions", "1e-4,1.00001e-4"], "",
+     "error: --fractions: 1e-4 and 1.00001e-4 both write scan_1.000e-04.csv"),
+    (["scan-lambda", "--fractions", "1e-2,1e-4,1e-4"], "",
+     "error: --fractions: 1e-4 and 1e-4 both write scan_1.000e-04.csv"),
 ]
 
 
@@ -387,7 +392,7 @@ def test_config_missing_file_rejected(tmp_path):
 
 def test_cli_forward_then_invert_roundtrip(tmp_path):
     seed_models(tmp_path)
-    cfg = write_config(tmp_path, data_line="data = out/dataset.iwd\n")
+    cfg = write_config(tmp_path, extra="batches = 5 8\n", data_line="data = out/dataset.iwd\n")
     assert cli_dispatch(["forward", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     assert (tmp_path / "out" / "dataset.iwd").exists()
     assert (tmp_path / "out" / "metadata.json").exists()
@@ -408,6 +413,12 @@ def test_cli_forward_then_invert_roundtrip(tmp_path):
     assert set(meta["run"]) == {"batches", "iterations_per_path", "iterations_total"}
     forward = json.loads((tmp_path / "out" / "metadata.json").read_text())
     assert set(forward) == {"command", "config", "version", "n_frequencies"}
+    # forward's config leaves out the settings no step of forward reads
+    unused = {"alpha", "batches", "bounds_mode", "data", "delta", "eps_n", "initial_model",
+              "inner_n", "k_max", "lambda_fraction", "paths", "v_max", "v_min", "variant"}
+    assert forward["config"] == {key: value for key, value in meta["config"].items()
+                                 if key not in unused}
+    assert unused <= set(meta["config"])
 
 
 def test_cli_variants_produce_distinct_models(tmp_path):
@@ -434,6 +445,20 @@ def test_cli_mu1_with_dense_check(tmp_path, capsys):
     assert "mu1 = " in out and "relative difference" in out
     rel = float(out.strip().split("relative difference = ")[1])
     assert rel < 1e-3
+
+
+def test_cli_mu1_dense_check_size_limit_checked_before_solving(tmp_path, monkeypatch, capsys):
+    def solve(*args):
+        raise AssertionError("mu1 computed before the --dense-check size limit was checked")
+
+    monkeypatch.setattr(iwri.cli, "power_iteration_mu1", solve)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(box_config(tmp_path))  # padded grid 2880
+    assert cli_dispatch(["mu1", "--config", str(cfg), "--freq", "5", "--dense-check"]) == 1
+    captured = capsys.readouterr()
+    assert "mu1 =" not in captured.out
+    assert captured.err.startswith("error: --dense-check needs <= 200 unknowns, "
+                                   "padded grid has 2880")
 
 
 def test_cli_mu1_matches_invert(tmp_path, capsys):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import iwri.linalg as linalg
+import iwri.util as util
+import iwri.workflow as workflow
 from iwri.errors import ConfigError, ParameterError, SolverError
 from iwri.grid import Bounds, Grid2D, VelocityModel, build_homogeneous, velocity_to_slowness_sq
 from iwri.helmholtz import PmlConfig, StencilScheme
@@ -250,3 +252,45 @@ def test_run_inversion_missing_frequency_rejected():
     with pytest.raises(ConfigError):
         run_inversion(build_homogeneous(v_true.grid, 1850.0), plan, dataset,
                       settings, StoppingCriteria())
+
+
+def test_release_free_memory_is_repeatable_and_optional(monkeypatch):
+    assert util.release_free_memory() is None
+    assert util.release_free_memory() is None
+    pads = []
+    monkeypatch.setattr(util, "_malloc_trim", pads.append)
+    util.release_free_memory()
+    assert pads == [0]
+    monkeypatch.setattr(util, "_malloc_trim", None)  # a C library without malloc_trim
+    assert util.release_free_memory() is None
+
+
+def two_batch_run(monkeypatch, release):
+    v_true, dataset, settings = small_setup()
+    monkeypatch.setattr(workflow, "release_free_memory", release)
+    plan = ContinuationPlan(batches=((5.0,), (8.0,)))
+    criteria = StoppingCriteria(k_max=2, delta=1e-16, eps_n=1e-16)
+    return run_inversion(build_homogeneous(v_true.grid, 1850.0), plan, dataset, settings,
+                         criteria, m_true=v_true)
+
+
+def test_each_batch_releases_memory_before_its_set_up(monkeypatch):
+    calls = []
+    build = workflow.InversionProblem
+
+    def recording_build(*args, **kwargs):
+        calls.append("problem")
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(workflow, "InversionProblem", recording_build)
+    result = two_batch_run(monkeypatch, lambda: calls.append("release"))
+    assert len(result.batches) == 2
+    assert calls == ["release", "problem", "release", "problem"]
+
+
+def test_memory_release_changes_no_result(monkeypatch):
+    released = two_batch_run(monkeypatch, util.release_free_memory)
+    kept = two_batch_run(monkeypatch, lambda: None)
+    assert np.array_equal(released.final_model.values, kept.final_model.values)
+    assert [vars(b.record) for b in released.batches] == [vars(b.record) for b in kept.batches]
+    assert released.metadata == kept.metadata
