@@ -23,7 +23,7 @@ from .errors import ConfigError, FactorizationError, IwriError, ParameterError, 
 from .fileio import (_CONFIG_KEYS, RunConfig, load_config, read_dataset, read_model_file,
                      write_convergence_csv, write_dataset, write_model_file, write_raster)
 from .grid import velocity_to_slowness_sq
-from .helmholtz import build_kernel, resolve_pml
+from .helmholtz import StencilScheme, build_kernel, resolve_pml
 from .linalg import power_iteration_mu1
 from .refinement import DenseProblem, accumulated_rhs_solve, iterative_refine, pseudo_inverse_solve
 from .util import stacked_norm
@@ -87,12 +87,12 @@ def _apply_overrides(config, args):
 
 def _cmd_forward(args):
     config = load_config(args.config)
-    geometry, frequencies, settings = config.geometry(), config.frequencies(), config.settings()
+    geometry, frequencies, pml = config.geometry(), config.frequencies(), config.pml()
     true_model = read_model_file(config.path("true_model"))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset = synthesize_data(velocity_to_slowness_sq(true_model), geometry, frequencies,
-                              settings.pml, settings.scheme, f0=config.value("f0"))
+                              pml, StencilScheme(), f0=config.value("f0"))
     dataset = add_noise(dataset, config.snr_db(), config.value("noise_seed"))
     write_dataset(dataset, out_dir / "dataset.iwd")
     _write_metadata(out_dir, "forward", config, unused=(
@@ -128,8 +128,12 @@ def _cmd_invert(args):
     settings, criteria, plan = config.settings(), config.criteria(), config.plan()
     initial, dataset, m_true, out_dir = _run_inputs(config, args.out)
 
+    def report(br):  # one line per batch, as it finishes
+        print(f"path {br.path} batch {br.batch_index} ({', '.join(f'{f:g}' for f in br.frequencies)} Hz): "
+              f"{br.info.stop_reason.value} at cycle {br.info.iterations}")
+
     started = time.perf_counter()
-    result = run_inversion(initial, plan, dataset, settings, criteria, m_true=m_true)
+    result = run_inversion(initial, plan, dataset, settings, criteria, m_true=m_true, on_batch=report)
     elapsed = time.perf_counter() - started
 
     write_model_file(result.final_model, out_dir / "final_model.mod")
@@ -170,7 +174,7 @@ def _cmd_mu1(args):
 
 def _cmd_scan_lambda(args):
     config = load_config(args.config)
-    base, criteria = config.settings(), config.criteria()
+    base, criteria = config.settings(), replace(config.criteria(), pde_fraction=1e-3)
     values = [v for v in args.fractions.split(",") if v]
     try:  # each fraction is checked as the lambda_fraction of its run, before any run
         runs = [replace(base, lambda_fraction=float(v)) for v in values]
@@ -191,8 +195,7 @@ def _cmd_scan_lambda(args):
     summary = ["fraction,iterations,stop_reason,final_pde_misfit,final_data_misfit,final_model_error"]
     for settings, tag in zip(runs, tags):
         fraction = settings.lambda_fraction
-        _, record, info = run_batch(m0, dataset, settings, criteria, m_true=m_true,
-                                    pde_stop_fraction=1e-3)
+        _, record, info = run_batch(m0, dataset, settings, criteria, m_true=m_true)
         write_convergence_csv(record, out_dir / f"scan_{tag}.csv")
         err = record.model_error[-1]
         summary.append(",".join([

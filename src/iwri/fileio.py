@@ -337,12 +337,9 @@ class RunConfig:
         return Bounds(self.value("v_min"), self.value("v_max")) if self.has("v_min") else None
 
     def pml(self):
-        sides = {"top", "bottom", "left", "right"}
-        if self.value("pml_free_top"):
-            sides.discard("top")
         return PmlConfig(n_layers=self.value("pml_layers"),
                          profile_exponent=self.value("pml_exponent"),
-                         max_damping=self.value("pml_damping"), sides=frozenset(sides))
+                         max_damping=self.value("pml_damping"), free_top=self.value("pml_free_top"))
 
     def settings(self):
         return InversionSettings(

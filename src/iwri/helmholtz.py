@@ -49,8 +49,6 @@ from .linalg import lu_factorize
 # for oblique paths.
 _PML_ROUNDTRIP = 1e-8
 
-_ALL_SIDES = frozenset({"top", "bottom", "left", "right"})
-
 # Bytes of forward-solve solutions remembered per process (oldest evicted).
 _FORWARD_MEMO_BYTES = 32 * 2**20
 _forward_memo = OrderedDict()  # content digest of (A, b) -> solution
@@ -60,12 +58,13 @@ _forward_memo_lock = threading.Lock()
 @dataclass(frozen=True)
 class PmlConfig:
     """Absorbing-layer settings; ``max_damping=None`` selects the rule
-    sigma_max = (p+1) v_ref ln(1/R)/(2 L) with R the round-trip target."""
+    sigma_max = (p+1) v_ref ln(1/R)/(2 L) with R the round-trip target.
+    ``free_top`` leaves the top side without a layer (a free surface)."""
 
     n_layers: int = 10
     profile_exponent: float = 2.0
     max_damping: float | None = None
-    sides: frozenset = _ALL_SIDES
+    free_top: bool = False
 
     def __post_init__(self):
         if self.n_layers < 0:
@@ -75,9 +74,6 @@ class PmlConfig:
             raise ParameterError(f"profile_exponent must be finite and positive, got {self.profile_exponent}")
         if self.max_damping is not None and not 0.0 <= self.max_damping < math.inf:
             raise ParameterError(f"max_damping must be finite and nonnegative, got {self.max_damping}")
-        unknown = set(self.sides) - _ALL_SIDES
-        if unknown:
-            raise ParameterError(f"unknown PML sides: {sorted(unknown)}")
 
     def resolved(self, grid, v_ref):
         """Fix max_damping for a concrete grid and reference velocity."""
@@ -152,37 +148,36 @@ class PaddedTopology:
 
 
 def pad_topology(grid, pml):
-    top, bottom, left, right = (pml.n_layers if side in pml.sides else 0
-                                for side in ("top", "bottom", "left", "right"))
+    n = pml.n_layers
+    top = 0 if pml.free_top else n
     # edge padding of the physical index grid is the PML's edge replication
     phys_of_pad = np.pad(np.arange(grid.n).reshape(grid.nz, grid.nx),
-                         ((top, bottom), (left, right)), mode="edge")
+                         ((top, n), (n, n)), mode="edge")
     nz_pad, nx_pad = phys_of_pad.shape
     order = band_numbering(nz_pad, nx_pad)
     pad_index = np.arange(nz_pad * nx_pad).reshape((nz_pad, nx_pad), order=order)
     return PaddedTopology(grid, Grid2D(nx_pad, nz_pad, grid.dx, grid.dz), phys_of_pad.ravel(order),
-                          pad_index[top:top + grid.nz, left:left + grid.nx].ravel(), order)
+                          pad_index[top:top + grid.nz, n:n + grid.nx].ravel(), order)
 
 
-def _axis_damping(n_cells, spacing, n_layers, lo_on, hi_on, sigma_max, exponent):
-    """Damping profile along one padded axis at cell centers and faces."""
-    lo = n_layers if lo_on else 0
-    width = n_layers * spacing
-    centers = (np.arange(n_cells) + 0.5 - lo) * spacing
-    faces = (np.arange(n_cells + 1) - lo) * spacing
-    extent = (n_cells - lo - (n_layers if hi_on else 0)) * spacing
+def _axis_damping(n_cells, spacing, pml, lo_on):
+    """Damping profile along one padded axis at cell centers and faces; the
+    high end always has a layer, the low end only if ``lo_on``."""
+    lo = pml.n_layers if lo_on else 0
+    width = pml.n_layers * spacing
+    extent = (n_cells - lo - pml.n_layers) * spacing
 
-    def profile(x):
+    def profile(index):  # positions in cells from the padded axis' start
+        x = (index - lo) * spacing
         depth = np.zeros_like(x)
         if lo_on:
             depth = np.maximum(depth, -x)
-        if hi_on:
-            depth = np.maximum(depth, x - extent)
+        depth = np.maximum(depth, x - extent)
         if width == 0:
             return np.zeros_like(x)
-        return sigma_max * np.clip(depth / width, 0.0, 1.0) ** exponent
+        return pml.max_damping * np.clip(depth / width, 0.0, 1.0) ** pml.profile_exponent
 
-    return profile(centers), profile(faces)
+    return profile(np.arange(n_cells) + 0.5), profile(np.arange(n_cells + 1))
 
 
 def _offset_matrix(topology, table):
@@ -244,10 +239,8 @@ class HelmholtzKernel:
         self.topology, self.stencil = _grid_parts(grid, pml, scheme)
 
         gp = self.topology.grid_pad
-        sigx_c, sigx_f = _axis_damping(gp.nx, grid.dx, pml.n_layers, "left" in pml.sides,
-                                       "right" in pml.sides, pml.max_damping, pml.profile_exponent)
-        sigz_c, sigz_f = _axis_damping(gp.nz, grid.dz, pml.n_layers, "top" in pml.sides,
-                                       "bottom" in pml.sides, pml.max_damping, pml.profile_exponent)
+        sigx_c, sigx_f = _axis_damping(gp.nx, grid.dx, pml, True)
+        sigz_c, sigz_f = _axis_damping(gp.nz, grid.dz, pml, not pml.free_top)
         sx_c, sx_f, sz_c, sz_f = (1.0 + 1j * sig / omega for sig in (sigx_c, sigx_f, sigz_c, sigz_f))
 
         self.damping = (sx_c[np.newaxis, :] * sz_c[:, np.newaxis]).ravel(self.topology.order)

@@ -49,44 +49,36 @@ class StopReason(enum.Enum):
 
 @dataclass(frozen=True)
 class StoppingCriteria:
-    """k = k_max OR (wave-equation misfit <= delta AND per-frequency data
-    misfit <= eps_n); eps_n = None falls back to the dataset noise level."""
+    """k = k_max OR (wave-equation misfit <= delta AND each frequency's data
+    misfit <= eps_n, None for the dataset noise level) OR, if pde_fraction
+    is set, wave-equation misfit <= pde_fraction * the first iterate's."""
 
     k_max: int = 100
     delta: float = 1e-3
-    eps_n: object = None
+    eps_n: float | None = None
+    pde_fraction: float | None = None
 
     def __post_init__(self):
         if self.k_max < 1:
             raise ParameterError(f"k_max must be >= 1, got {self.k_max}")
         if not 0 < self.delta < math.inf:
             raise ParameterError(f"delta must be finite and positive, got {self.delta}")
-        if self.eps_n is not None:
-            eps = np.asarray(self.eps_n, dtype=float)
-            if eps.ndim > 1 or not np.all((eps >= 0) & (eps < math.inf)):
-                raise ParameterError(f"eps_n must be finite and >= 0, a scalar or one value "
-                                     f"per frequency, got {self.eps_n}")
-
-    def resolved_eps(self, noise_level):
-        if self.eps_n is None:
-            return np.asarray(noise_level, dtype=float)
-        eps = np.asarray(self.eps_n, dtype=float)
-        if eps.ndim == 0:
-            return np.full(len(noise_level), float(eps))
-        if eps.shape != (len(noise_level),):
-            raise ParameterError("eps_n must be scalar or one value per batch frequency")
-        return eps
+        if self.eps_n is not None and not (np.ndim(self.eps_n) == 0 and 0 <= self.eps_n < math.inf):
+            raise ParameterError(f"eps_n must be one finite number >= 0, got {self.eps_n}")
+        if self.pde_fraction is not None and not 0 < self.pde_fraction < 1:
+            raise ParameterError(f"pde_fraction must be in (0, 1), got {self.pde_fraction}")
 
 
-def check_stop(k, stats, criteria, noise_level):
-    """Pure stopping decision on the residuals of the current iterate."""
-    eps = criteria.resolved_eps(noise_level)
-    converged = stats.pde_misfit <= criteria.delta and bool(
-        np.all(stats.data_misfit_per_freq <= eps))
-    if converged:
+def check_stop(k, stats, criteria, noise_level, initial_pde=None):
+    """Pure stopping decision on the residuals of the current iterate and
+    ``initial_pde``, the first iterate's wave-equation misfit."""
+    eps = noise_level if criteria.eps_n is None else criteria.eps_n
+    if stats.pde_misfit <= criteria.delta and np.all(stats.data_misfit_per_freq <= eps):
         return StopReason.CONVERGED
     if k >= criteria.k_max:
         return StopReason.KMAX
+    if criteria.pde_fraction is not None and stats.pde_misfit <= criteria.pde_fraction * initial_pde:
+        return StopReason.THRESHOLD
     return StopReason.CONTINUE
 
 
@@ -145,16 +137,9 @@ class BatchInfo:
     model_warnings: int  # cycles whose model solve needed the singular-system shift
 
 
-def run_batch(model_in, dataset, settings, criteria, *, m_true=None,
-              pde_stop_fraction=None):
-    """Iterate outer cycles on one frequency batch until the stopping rule
-    fires.
-
-    Duals start from zero (fresh constraint history per batch).  When
-    ``pde_stop_fraction`` is set, iteration additionally stops once the
-    wave-equation misfit drops below that fraction of the first iterate's
-    misfit (used by the sensitivity studies).
-    """
+def run_batch(model_in, dataset, settings, criteria, *, m_true=None):
+    """Iterate outer cycles on one frequency batch until ``check_stop``
+    fires.  Duals start from zero (fresh constraint history per batch)."""
     if not isinstance(model_in, SlownessSqModel):
         raise ParameterError("run_batch expects a squared-slowness model")
     grid = model_in.grid
@@ -186,10 +171,7 @@ def run_batch(model_in, dataset, settings, criteria, *, m_true=None,
         record.append(state.k, stats.data_misfit, stats.pde_misfit,
                       model_error(problem, state), wavefield_error(problem, state),
                       state.pde_solve_count)
-        reason = check_stop(state.k, stats, criteria, problem.noise_level)
-        if (reason is StopReason.CONTINUE and pde_stop_fraction is not None
-                and stats.pde_misfit <= pde_stop_fraction * initial_pde):
-            reason = StopReason.THRESHOLD
+        reason = check_stop(state.k, stats, criteria, problem.noise_level, initial_pde)
 
     info = BatchInfo(mu1=mu1, lambdas=params.lambdas, initial_pde_misfit=initial_pde,
                      stop_reason=reason, iterations=state.k, model_warnings=model_warnings)
@@ -212,9 +194,10 @@ class RunResult:
     metadata: dict
 
 
-def run_inversion(model0, plan, dataset, settings, criteria, *, m_true=None):
+def run_inversion(model0, plan, dataset, settings, criteria, *, m_true=None, on_batch=None):
     """Execute all paths and batches of a continuation plan, threading the
-    model; deterministic for a fixed configuration."""
+    model; deterministic for a fixed configuration.  ``on_batch``, if given,
+    is called with each ``BatchRecord`` as its batch finishes."""
     m_cur = velocity_to_slowness_sq(model0)
     batches_out = []
     per_path_iterations = []
@@ -229,6 +212,8 @@ def run_inversion(model0, plan, dataset, settings, criteria, *, m_true=None):
             model_out, record, info = run_batch(m_cur, dataset.subset(indices), settings,
                                                 criteria, m_true=m_true)
             batches_out.append(BatchRecord(p, bi, tuple(wanted), record, info))
+            if on_batch is not None:
+                on_batch(batches_out[-1])
             path_iterations += info.iterations
             m_cur = model_out
         per_path_iterations.append(path_iterations)

@@ -15,8 +15,6 @@ from tests_helpers_toy import toy_helmholtz_system
 def test_pml_config_validation():
     with pytest.raises(ParameterError):
         PmlConfig(n_layers=-1)
-    with pytest.raises(ParameterError):
-        PmlConfig(sides=frozenset({"north"}))
     grid = Grid2D(10, 10, 10.0, 10.0)
     resolved = PmlConfig(n_layers=10).resolved(grid, 2000.0)
     # damping rule: (p+1) v ln(1/R) / (2 L)
@@ -64,12 +62,10 @@ def test_scheme_validation():
 def test_pad_topology_maps():
     # a wide grid, a tall grid and a wide grid with a free top, whose padded
     # grids are numbered z fastest, x fastest and z fastest
-    for nx, nz, sides, order in ((5, 4, {"top", "bottom", "left", "right"}, "F"),
-                                 (4, 5, {"top", "bottom", "left", "right"}, "C"),
-                                 (5, 4, {"bottom", "left", "right"}, "F")):
+    for nx, nz, free_top, order in ((5, 4, False, "F"), (4, 5, False, "C"), (5, 4, True, "F")):
         grid = Grid2D(nx, nz, 10.0, 10.0)
-        topo = pad_topology(grid, PmlConfig(n_layers=2, max_damping=50.0, sides=frozenset(sides)))
-        top = 2 if "top" in sides else 0  # free-surface top: no rows added above
+        topo = pad_topology(grid, PmlConfig(n_layers=2, max_damping=50.0, free_top=free_top))
+        top = 0 if free_top else 2  # free-surface top: no rows added above
         nx_pad, nz_pad = nx + 4, nz + top + 2
         assert (topo.grid_pad.nx, topo.grid_pad.nz) == (nx_pad, nz_pad)
         assert topo.order == order  # the shorter padded axis varies fastest
@@ -80,31 +76,45 @@ def test_pad_topology_maps():
         assert np.array_equal(topo.phys_of_pad[topo.pad_of_phys], np.arange(grid.n))
         # the first physical cell sits at padded (ix=2, iz=top)
         assert topo.pad_of_phys[0] == (2 * nz_pad + top if order == "F" else top * nx_pad + 2)
-    # every side set at 0, 3 and 10 layers against the clipped-index construction,
+    # either top at 0, 3 and 10 layers against the clipped-index construction,
     # on the wide and the tall grid
-    for grid, n_layers in itertools.product((Grid2D(5, 4, 10.0, 10.0), Grid2D(4, 5, 10.0, 10.0)),
-                                            (0, 3, 10)):
-        for k in range(5):
-            for sides in itertools.combinations(("top", "bottom", "left", "right"), k):
-                topo = pad_topology(grid, PmlConfig(n_layers=n_layers, max_damping=50.0,
-                                                    sides=frozenset(sides)))
-                top, bottom, left, right = (n_layers if s in sides else 0
-                                            for s in ("top", "bottom", "left", "right"))
-                nx_pad, nz_pad = grid.nx + left + right, grid.nz + top + bottom
-                assert topo.grid_pad == Grid2D(nx_pad, nz_pad, 10.0, 10.0)
-                iz, ix = np.divmod(np.arange(grid.n), grid.nx)
-                if nz_pad < nx_pad:  # z fastest: padded cell (ix, iz) at ix * nz_pad + iz
-                    assert topo.order == "F"
-                    ixp, izp = np.divmod(np.arange(topo.n_pad), nz_pad)
-                    pad = (ix + left) * nz_pad + iz + top
-                else:  # x fastest: padded cell (ix, iz) at iz * nx_pad + ix
-                    assert topo.order == "C"
-                    izp, ixp = np.divmod(np.arange(topo.n_pad), nx_pad)
-                    pad = (iz + top) * nx_pad + ix + left
-                phys = (np.clip(izp - top, 0, grid.nz - 1) * grid.nx
-                        + np.clip(ixp - left, 0, grid.nx - 1))
-                for got, want in ((topo.phys_of_pad, phys), (topo.pad_of_phys, pad)):
-                    assert got.dtype == want.dtype and np.array_equal(got, want), (grid, n_layers, sides)
+    for grid, n_layers, free_top in itertools.product(
+            (Grid2D(5, 4, 10.0, 10.0), Grid2D(4, 5, 10.0, 10.0)), (0, 3, 10), (False, True)):
+        topo = pad_topology(grid, PmlConfig(n_layers=n_layers, max_damping=50.0, free_top=free_top))
+        top, side = (0 if free_top else n_layers), n_layers  # bottom, left and right: always
+        nx_pad, nz_pad = grid.nx + 2 * side, grid.nz + top + side
+        assert topo.grid_pad == Grid2D(nx_pad, nz_pad, 10.0, 10.0)
+        iz, ix = np.divmod(np.arange(grid.n), grid.nx)
+        if nz_pad < nx_pad:  # z fastest: padded cell (ix, iz) at ix * nz_pad + iz
+            assert topo.order == "F"
+            ixp, izp = np.divmod(np.arange(topo.n_pad), nz_pad)
+            pad = (ix + side) * nz_pad + iz + top
+        else:  # x fastest: padded cell (ix, iz) at iz * nx_pad + ix
+            assert topo.order == "C"
+            izp, ixp = np.divmod(np.arange(topo.n_pad), nx_pad)
+            pad = (iz + top) * nx_pad + ix + side
+        phys = (np.clip(izp - top, 0, grid.nz - 1) * grid.nx
+                + np.clip(ixp - side, 0, grid.nx - 1))
+        for got, want in ((topo.phys_of_pad, phys), (topo.pad_of_phys, pad)):
+            assert got.dtype == want.dtype and np.array_equal(got, want), (grid, n_layers, free_top)
+
+
+def test_free_top_kernel_damps_only_below_and_beside():
+    # nothing stretches z above the grid: the first padded row is physical
+    # and undamped, the bottom, left and right layers are damped
+    n = 3
+    for grid in (Grid2D(7, 5, 10.0, 10.0), Grid2D(5, 7, 10.0, 10.0)):
+        for free_top in (False, True):
+            pml = PmlConfig(n_layers=n, free_top=free_top).resolved(grid, 2000.0)
+            kern = build_kernel(grid, 2 * np.pi * 6.0, pml, StencilScheme())
+            gp, top = kern.topology.grid_pad, 0 if free_top else n
+            assert (gp.nz, gp.nx) == (grid.nz + top + n, grid.nx + 2 * n)
+            c = kern.damping.reshape((gp.nz, gp.nx), order=kern.topology.order)
+            physical = c[top:top + grid.nz, n:n + grid.nx]
+            assert np.all(physical == 1.0)
+            assert np.all(c[0, n:n + grid.nx] == 1.0) == free_top
+            for layer in (c[top + grid.nz:, :], c[:, :n], c[:, n + grid.nx:]):
+                assert np.all(layer != 1.0)
 
 
 @pytest.mark.parametrize("nx,nz", [(12, 7), (7, 12)], ids=["wide", "tall"])

@@ -357,7 +357,7 @@ def test_cli_bad_run_setting_exits_before_reading_inputs(tmp_path, monkeypatch, 
                                        ("false", False), ("no", False), ("0", False)])
 def test_config_pml_free_top_words(tmp_path, word, free):
     cfg = write_config(tmp_path, extra=f"pml_free_top = {word}\n")
-    assert ("top" not in load_config(cfg).pml().sides) == free
+    assert load_config(cfg).pml().free_top is free
 
 
 def test_cli_missing_input_leaves_no_output_directory(tmp_path):
@@ -419,6 +419,50 @@ def test_cli_forward_then_invert_roundtrip(tmp_path):
     assert forward["config"] == {key: value for key, value in meta["config"].items()
                                  if key not in unused}
     assert unused <= set(meta["config"])
+
+
+def test_cli_forward_reads_no_inversion_setting(tmp_path, monkeypatch, capsys):
+    # alpha = 2 is no setting of forward: it writes the same dataset and
+    # metadata as without it, and invert refuses it before reading any input
+    seed_models(tmp_path)
+    for out, extra in (("plain", ""), ("alpha", "alpha = 2\n")):
+        cfg = write_config(tmp_path, extra=extra, data_line="data = plain/dataset.iwd\n")
+        assert cli_dispatch(["forward", "--config", str(cfg), "--out", str(tmp_path / out)]) == 0
+    for name in ("dataset.iwd", "metadata.json"):
+        assert (tmp_path / "alpha" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+    def read(path):
+        raise AssertionError(f"input {path} read before the run settings were checked")
+
+    for reader in ("read_model_file", "read_dataset"):
+        monkeypatch.setattr(iwri.cli, reader, read)
+    capsys.readouterr()
+    assert cli_dispatch(["invert", "--config", str(cfg), "--out", str(tmp_path / "inv")]) == 1
+    assert capsys.readouterr().err.startswith("error: alpha must be in (0, 1], got 2.0")
+    assert not (tmp_path / "inv").exists()
+
+
+def test_cli_invert_prints_each_batch(tmp_path, capsys):
+    # one line per batch, path, frequencies, stop reason and cycle count,
+    # before the closing line; the same as metadata.json records
+    seed_models(tmp_path)
+    cfg = write_config(tmp_path, extra="batches = 5 | 8\npaths = 0 1\n",
+                       data_line="data = out/dataset.iwd\n")
+    assert cli_dispatch(["forward", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert cli_dispatch(["invert", "--config", str(cfg), "--out", str(tmp_path / "inv")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == ["path 0 batch 0 (5 Hz): stop_kmax at cycle 3",
+                         "path 0 batch 1 (8 Hz): stop_kmax at cycle 3",
+                         "path 1 batch 1 (8 Hz): stop_kmax at cycle 3"]
+    assert lines[3].startswith("inversion finished after 9 iterations") and len(lines) == 4
+    # an early stop shows without opening metadata.json
+    cfg = write_config(tmp_path, data_line="data = out/dataset.iwd\n")
+    cfg.write_text(cfg.read_text().replace("= 1e-16", "= 1e300"))  # delta and eps_n
+    assert cli_dispatch(["invert", "--config", str(cfg), "--out", str(tmp_path / "early")]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "path 0 batch 0 (5, 8 Hz): stop_converged at cycle 1"
+    meta = json.loads((tmp_path / "early" / "metadata.json").read_text())
+    assert [(b["stop_reason"], b["iterations"]) for b in meta["run"]["batches"]] == [("stop_converged", 1)]
 
 
 def test_cli_variants_produce_distinct_models(tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -56,18 +58,31 @@ def test_check_stop_truth_table(rng):
     assert check_stop(3, stats(0.9e-3, [2e-5, 0.5e-5]), crit, noise) is StopReason.CONTINUE
     # data ok, pde too large
     assert check_stop(3, stats(2e-3, [0.5e-5, 0.5e-5]), crit, noise) is StopReason.CONTINUE
+    # the relative stop: pde at or below the fraction of the first iterate's,
+    # after converged and k_max
+    frac = replace(crit, pde_fraction=0.5)
+    assert check_stop(3, stats(5e-3, [1.0, 1.0]), frac, noise, 1e-2) is StopReason.THRESHOLD
+    assert check_stop(3, stats(6e-3, [1.0, 1.0]), frac, noise, 1e-2) is StopReason.CONTINUE
+    assert check_stop(10, stats(5e-3, [1.0, 1.0]), frac, noise, 1e-2) is StopReason.KMAX
+    assert check_stop(3, stats(0.0, [0.0, 0.0]), frac, noise, 1e-2) is StopReason.CONVERGED
+    # without pde_fraction the first iterate's misfit is not read
+    assert check_stop(3, stats(5e-3, [1.0, 1.0]), crit, noise, 1e-2) is StopReason.CONTINUE
 
     # randomized comparison against an independent truth table
     for _ in range(200):
         k = int(rng.integers(1, 12))
         pde = float(10.0 ** rng.uniform(-5, -1))
         data = 10.0 ** rng.uniform(-7, -3, size=2)
-        got = check_stop(k, stats(pde, data), crit, noise)
-        converged = pde <= crit.delta and np.all(data <= 1e-5)
+        initial = float(10.0 ** rng.uniform(-4, 0))
+        criteria = crit if rng.integers(2) else frac
+        got = check_stop(k, stats(pde, data), criteria, noise, initial)
+        converged = pde <= criteria.delta and np.all(data <= 1e-5)
         if converged:
             expected = StopReason.CONVERGED
-        elif k >= crit.k_max:
+        elif k >= criteria.k_max:
             expected = StopReason.KMAX
+        elif criteria.pde_fraction is not None and pde <= 0.5 * initial:
+            expected = StopReason.THRESHOLD
         else:
             expected = StopReason.CONTINUE
         assert got is expected
@@ -81,12 +96,20 @@ def test_stopping_criteria_rejects_nonfinite_thresholds(delta, eps_n):
         StoppingCriteria(k_max=5, delta=delta, eps_n=eps_n)
 
 
-def test_stopping_criteria_accepts_zero_and_per_frequency_eps():
+def test_stopping_criteria_accepts_zero_and_rejects_vector_eps():
     noise = np.array([1e-5, 1e-5])
     assert check_stop(1, stats(0.0, [0.0, 0.0]), StoppingCriteria(k_max=5, eps_n=0.0),
                       noise) is StopReason.CONVERGED
-    crit = StoppingCriteria(k_max=5, eps_n=[1e-5, 2e-5])
-    assert check_stop(1, stats(0.0, [0.5e-5, 1.5e-5]), crit, noise) is StopReason.CONVERGED
+    # one number for every frequency: a per-frequency vector is refused
+    for vector in ([1e-5, 2e-5], np.array([1e-5, 2e-5]), np.array([1e-5])):
+        with pytest.raises(ParameterError):
+            StoppingCriteria(k_max=5, eps_n=vector)
+
+
+@pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5, 2.0, np.nan, np.inf])
+def test_stopping_criteria_rejects_pde_fraction_outside_unit_interval(fraction):
+    with pytest.raises(ParameterError):
+        StoppingCriteria(pde_fraction=fraction)
 
 
 def test_check_stop_eps_fallback_to_noise_level():
@@ -152,9 +175,8 @@ def test_run_batch_records_and_kmax():
 def test_run_batch_threshold_stop():
     v_true, dataset, settings = small_setup()
     m0 = velocity_to_slowness_sq(build_homogeneous(v_true.grid, 1850.0))
-    criteria = StoppingCriteria(k_max=300, delta=1e-16, eps_n=1e-16)
-    model, record, info = run_batch(m0, dataset, settings, criteria, m_true=v_true,
-                                    pde_stop_fraction=0.5)
+    criteria = StoppingCriteria(k_max=300, delta=1e-16, eps_n=1e-16, pde_fraction=0.5)
+    model, record, info = run_batch(m0, dataset, settings, criteria, m_true=v_true)
     assert info.stop_reason is StopReason.THRESHOLD
     assert len(record) == info.iterations
     assert record.pde_misfit[-1] <= 0.5 * info.initial_pde_misfit
@@ -294,3 +316,20 @@ def test_memory_release_changes_no_result(monkeypatch):
     assert np.array_equal(released.final_model.values, kept.final_model.values)
     assert [vars(b.record) for b in released.batches] == [vars(b.record) for b in kept.batches]
     assert released.metadata == kept.metadata
+
+
+def test_run_inversion_reports_each_batch_as_it_finishes(monkeypatch):
+    calls = []
+    build = workflow.InversionProblem
+
+    def recording_build(*args, **kwargs):
+        calls.append("problem")
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(workflow, "InversionProblem", recording_build)
+    v_true, dataset, settings = small_setup()
+    plan = ContinuationPlan(batches=((5.0,), (8.0,)))
+    result = run_inversion(build_homogeneous(v_true.grid, 1850.0), plan, dataset, settings,
+                           StoppingCriteria(k_max=1), on_batch=calls.append)
+    assert calls[::2] == ["problem", "problem"]
+    assert calls[1] is result.batches[0] and calls[3] is result.batches[1]
