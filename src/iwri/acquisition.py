@@ -1,14 +1,14 @@
 """Sources, receivers, frequency-domain data synthesis and noise injection."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import GeometryError, ParameterError, ShapeError
 from .grid import slowness_sq_to_velocity
-from .helmholtz import build_kernel, forward_solve, pad_topology, resolve_pml
+from .helmholtz import _grid_parts, build_kernel, forward_solve, resolve_pml
 from .util import stacked_norm
 
 
@@ -52,13 +52,9 @@ def build_observation(topology, receivers):
     """Sampling matrix P (one unit entry per row at the nearest cell of each
     receiver), acting on padded-grid wavefields."""
     grid = topology.grid
-    rows, cols = [], []
-    for i, (x, z) in enumerate(receivers):
-        ix, iz = grid.nearest_cell(x, z)
-        rows.append(i)
-        cols.append(topology.pad_of_phys[grid.flat_index(ix, iz)])
-    data = np.ones(len(rows))
-    return sp.csr_matrix((data, (rows, cols)), shape=(len(receivers), topology.n_pad))
+    cols = [topology.pad_of_phys[grid.flat_index(*grid.nearest_cell(x, z))] for x, z in receivers]
+    return sp.csr_matrix((np.ones(len(cols)), (np.arange(len(cols)), cols)),
+                         shape=(len(cols), topology.n_pad))
 
 
 def build_source(topology, src_pos, amplitude=1.0):
@@ -152,7 +148,7 @@ def synthesize_data(m_true, geometry, frequencies, pml, scheme, f0=5.0):
     grid = m_true.grid
     geometry.validate(grid)
     pml = resolve_pml(pml, grid, None, slowness_sq_to_velocity(m_true))
-    P = build_observation(pad_topology(grid, pml), geometry.receivers)
+    P = build_observation(_grid_parts(grid, pml, scheme)[0], geometry.receivers)  # the kernels' topology
     data, scales = [], []
     for f in frequencies:
         kernel = build_kernel(grid, 2.0 * math.pi * f, pml, scheme)
@@ -193,11 +189,4 @@ def add_noise(dataset, snr_db, seed):
         noise = raw * (target / stacked_norm([raw]))
         noisy.append(block + noise)
         levels.append(target)
-    return FrequencyDataset(
-        frequencies=dataset.frequencies,
-        geometry=dataset.geometry,
-        data=noisy,
-        noise_level=np.array(levels),
-        source_scale=dataset.source_scale,
-        seed=seed,
-    )
+    return replace(dataset, data=noisy, noise_level=np.array(levels), seed=seed)

@@ -20,12 +20,13 @@ import numpy as np
 from . import __version__
 from .acquisition import add_noise, build_observation, synthesize_data
 from .errors import ConfigError, FactorizationError, IwriError, ParameterError, SolverError
-from .fileio import (_CONFIG_KEYS, RunConfig, load_config, read_dataset, read_model_file,
+from .engine import check_inputs
+from .fileio import (_CONFIG_KEYS, RunConfig, _csv_cell, load_config, read_dataset, read_model_file,
                      write_convergence_csv, write_dataset, write_model_file, write_raster)
 from .grid import velocity_to_slowness_sq
 from .helmholtz import StencilScheme, build_kernel, resolve_pml
 from .linalg import power_iteration_mu1
-from .refinement import DenseProblem, accumulated_rhs_solve, iterative_refine, pseudo_inverse_solve
+from .refinement import DenseProblem, accumulated_rhs_solve, iterative_refine
 from .util import stacked_norm
 from .workflow import run_batch, run_inversion
 
@@ -105,13 +106,16 @@ def _cmd_forward(args):
     return 0
 
 
-def _run_inputs(config, out):
+def _run_inputs(config, out, plan=None):
     """(initial model, data to invert, true model or None, output directory)
-    of an inverting command.  Noise is added at ``snr_db`` unless the dataset
-    already carries some; ``out`` is created once every input has been read."""
+    of an inverting command, with noise at ``snr_db`` unless the dataset has
+    some; ``out`` is created once the inputs are read and fit (with ``plan``)."""
     initial = read_model_file(config.path("initial_model"))
     dataset = read_dataset(config.path("data"))
     m_true = read_model_file(config.path("true_model")) if config.has("true_model") else None
+    check_inputs(initial.grid, dataset.geometry, config.pml(), config.bounds(), m_true)
+    if plan is not None:
+        plan.frequency_indices(dataset.frequencies)
     snr = config.snr_db()
     if not math.isinf(snr):
         if dataset.seed is None:
@@ -126,7 +130,7 @@ def _run_inputs(config, out):
 def _cmd_invert(args):
     config = _apply_overrides(load_config(args.config), args)
     settings, criteria, plan = config.settings(), config.criteria(), config.plan()
-    initial, dataset, m_true, out_dir = _run_inputs(config, args.out)
+    initial, dataset, m_true, out_dir = _run_inputs(config, args.out, plan)
 
     def report(br):  # one line per batch, as it finishes
         print(f"path {br.path} batch {br.batch_index} ({', '.join(f'{f:g}' for f in br.frequencies)} Hz): "
@@ -152,7 +156,6 @@ def _cmd_mu1(args):
     settings = config.settings()
     model_key = "initial_model" if config.has("initial_model") else "true_model"
     model = read_model_file(config.path(model_key))
-    m = velocity_to_slowness_sq(model)
     m_true = read_model_file(config.path("true_model")) if config.has("true_model") else None
     pml = resolve_pml(settings.pml, model.grid, settings.bounds, m_true)
     kernel = build_kernel(model.grid, 2.0 * math.pi * args.freq, pml, settings.scheme)
@@ -160,12 +163,11 @@ def _cmd_mu1(args):
     if args.dense_check and n > 200:
         raise ConfigError(f"--dense-check needs <= 200 unknowns, padded grid has {n}")
     P = build_observation(kernel.topology, config.geometry().receivers)
-    mu1 = power_iteration_mu1(kernel.assemble(m.values), P).value
+    A = kernel.assemble(velocity_to_slowness_sq(model).values)
+    mu1 = power_iteration_mu1(A, P).value
     print(f"mu1 = {mu1:.8e}")
     if args.dense_check:
-        A = kernel.assemble(m.values).toarray()
-        G = np.linalg.solve(A, np.eye(n))
-        PG = P @ G
+        PG = P @ np.linalg.solve(A.toarray(), np.eye(n))
         dense = float(np.linalg.eigvalsh(PG.conj().T @ PG)[-1])
         rel = abs(mu1 - dense) / dense
         print(f"dense mu1 = {dense:.8e}, relative difference = {rel:.3e}")
@@ -197,12 +199,9 @@ def _cmd_scan_lambda(args):
         fraction = settings.lambda_fraction
         _, record, info = run_batch(m0, dataset, settings, criteria, m_true=m_true)
         write_convergence_csv(record, out_dir / f"scan_{tag}.csv")
-        err = record.model_error[-1]
-        summary.append(",".join([
-            repr(fraction), str(info.iterations), info.stop_reason.value,
-            repr(record.pde_misfit[-1]), repr(record.data_misfit[-1]),
-            "" if err is None else repr(err),
-        ]))
+        summary.append(",".join(map(_csv_cell, [
+            fraction, info.iterations, info.stop_reason.value,
+            record.pde_misfit[-1], record.data_misfit[-1], record.model_error[-1]])))
         print(f"fraction {fraction:.3e}: {info.iterations} iterations "
               f"({info.stop_reason.value})")
     (out_dir / "scan_summary.csv").write_text("\n".join(summary) + "\n", encoding="ascii")
@@ -218,7 +217,6 @@ def _cmd_oracle_refine(args):
     A = rng.standard_normal((args.n, args.n)) + 1j * rng.standard_normal((args.n, args.n))
     b = rng.standard_normal(args.n) + 1j * rng.standard_normal(args.n)
     problem = DenseProblem(A=A, b=b, beta=args.beta)
-    x = pseudo_inverse_solve(problem)
     for step in range(1, args.k + 1):
         x = iterative_refine(problem, step)
         print(f"step {step}: residual = {stacked_norm([b - A @ x]):.6e}")

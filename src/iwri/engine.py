@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ParameterError, ShapeError, SolverError
+from .errors import GeometryError, ParameterError, ShapeError, SolverError
 from .grid import velocity_to_slowness_sq
 from .helmholtz import _grid_parts, band_numbering, build_kernel, forward_solve, resolve_pml
 from .acquisition import build_observation, source_matrix
@@ -102,6 +102,7 @@ class IterationState:
     u: list | None = None  # the wavefields of the last cycle
     k: int = 0
     pde_solve_count: int = 0
+    initial_pde: float | None = None  # ||b - A(m^0) u|| of the first reconstruction, set at k = 0
 
 
 @dataclass
@@ -112,7 +113,6 @@ class CycleStats:
     pde_misfit: float
     data_misfit_per_freq: np.ndarray
     pde_misfit_per_freq: np.ndarray
-    initial_pde_misfit: float | None = None
     model_warning: bool = False
 
 
@@ -164,6 +164,15 @@ def _band_plans(grid, pml, scheme):
     return phys, ModelNormalPlan(*_grid_parts(grid, pml, scheme), phys)
 
 
+def check_inputs(grid, geometry, pml, bounds, m_true):
+    """The resolved PML of a run on ``grid``, once the true model (if any)
+    is known to lie on ``grid`` and the sources and receivers inside it."""
+    if m_true is not None and m_true.grid != grid:
+        raise GeometryError(f"true model is on {m_true.grid}, the inversion on {grid}")
+    geometry.validate(grid)
+    return resolve_pml(pml, grid, bounds, m_true)
+
+
 class InversionProblem:
     """Frozen per-batch setup: kernels, observation operator, sources,
     observed data, bounds, and reference fields for error tracking."""
@@ -175,12 +184,11 @@ class InversionProblem:
         self.grid = grid
         self.bounds_mode = bounds_mode
         self.geometry = dataset.geometry
-        self.geometry.validate(grid)
+        self.pml = check_inputs(grid, self.geometry, pml, bounds, m_true)
         self.frequencies = dataset.frequencies
         self.observed = [d.copy() for d in dataset.data]
         self.noise_level = dataset.noise_level.copy()
 
-        self.pml = resolve_pml(pml, grid, bounds, m_true)
         self.kernels = [build_kernel(grid, 2.0 * np.pi * f, self.pml, scheme)
                         for f in dataset.frequencies]
         self.topology = topo = self.kernels[0].topology
@@ -397,9 +405,9 @@ def inner_refine(problem, state, params):
     m, assembled, Au, source_duals, box, warn = _model_phase(problem, state, params, u, source_duals)
     data_misfit, data_per_freq = _norms([pu - d for pu, d in zip(Pu, problem.observed)])
     pde_misfit, pde_per_freq = _norms([b - au for b, au in zip(problem.sources, Au)])
-    stats = CycleStats(data_misfit, pde_misfit, data_per_freq, pde_per_freq,
-                       initial_pde_misfit=stacked_norm(first) if state.k == 0 else None,
-                       model_warning=warn)
+    stats = CycleStats(data_misfit, pde_misfit, data_per_freq, pde_per_freq, model_warning=warn)
+    if state.k == 0:
+        state.initial_pde = stacked_norm(first)
     state.m_values, state.assembled, state.u = m, assembled, list(u)
     state.duals, state.box = DualState(data_duals, source_duals), box
     state.k += 1

@@ -50,11 +50,7 @@ class SolverError(IwriError):
 
 
 class FormatError(IwriError):
-    """Malformed model/data file; ``offset`` is a byte offset or item index."""
-
-    def __init__(self, message, offset=None):
-        super().__init__(message)
-        self.offset = offset
+    """Malformed model/data file or unwritable raster."""
 
 
 class ConfigError(IwriError):

@@ -43,32 +43,31 @@ def _read(path, magic, n_lines, parse, dtype):
     for _ in range(n_lines):
         nl = blob.find(b"\n", offset)
         if nl < 0:
-            raise FormatError(f"{path}: truncated header", offset=offset)
+            raise FormatError(f"{path}: truncated header: no newline from byte {offset} on")
         try:
             lines.append(blob[offset:nl].decode("ascii"))
         except UnicodeDecodeError as exc:
-            raise FormatError(f"{path}: non-ascii header byte", offset=offset) from exc
+            raise FormatError(f"{path}: non-ascii header byte at offset {offset + exc.start}") from exc
         offset = nl + 1
     if lines[0] != magic:
-        raise FormatError(f"{path}: bad magic {lines[0]!r}", offset=0)
+        raise FormatError(f"{path}: bad magic {lines[0]!r}")
     item = np.dtype(dtype).itemsize
     try:
         count, build = parse(lines[1:])
         if len(blob) - offset != count * item:
             raise FormatError(f"{path}: payload is {len(blob) - offset} bytes, "
-                              f"expected {count * item}", offset=offset)
+                              f"expected {count * item}")
         values = np.frombuffer(blob, dtype=dtype, count=count, offset=offset)
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
-            raise FormatError(f"{path}: non-finite value at payload index {int(bad[0])}",
-                              offset=offset + int(bad[0]) * item)
+            raise FormatError(f"{path}: non-finite value at payload index {int(bad[0])}")
         return build(values)
     except (KeyError, ValueError) as exc:
-        raise FormatError(f"{path}: malformed header: {exc}", offset=0) from exc
+        raise FormatError(f"{path}: malformed header: {exc}") from exc
     except FormatError:
         raise
     except IwriError as exc:
-        raise FormatError(f"{path}: {exc}", offset=0) from exc
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 # -- velocity model files ----------------------------------------------------

@@ -283,11 +283,11 @@ class BandSplit:
                     np.ndarray(length, flat.dtype, flat, (base + r * row_step + (r + d) * col_step) * size,
                                ((row_step + col_step) * size,))[...] = values[j0 + r + d:j0 + r + d + length]
 
-    def _on_both_blocks(self, fn, parallel):
+    def _on_both_blocks(self, fn):
         """``fn(k, *block)`` for both blocks k: block 2 on the worker thread
-        while this thread does block 1, or after it when not ``parallel``.
-        Returns both results once both are done."""
-        if not parallel:
+        while this thread does block 1, or after it on one CPU (``_parallel``,
+        asked on each call).  Returns both results once both are done."""
+        if not _parallel():
             return fn(0, *self.blocks[0]), fn(1, *self.blocks[1])
         pending = _WORKER.submit(fn, 1, *self.blocks[1])
         try:
@@ -304,7 +304,7 @@ class BandSplit:
                      for _, _, tail, offset in self.blocks]
         return couplings, flat[self.sep_offset:].reshape((b, b), order="F")
 
-    def factor(self, flat, offsets, data, parallel):
+    def factor(self, flat, offsets, data):
         """Write the matrix whose band-order diagonals are ``data`` into
         ``flat`` and factor it in place: the calling thread writes the
         separator block, and each block's thread writes its half-band and
@@ -328,7 +328,7 @@ class BandSplit:
                     lapack.herk(1.0, flat, coupling, tail, b, 0.0, term, 0)
             return None
 
-        pivots = self._on_both_blocks(half, parallel)
+        pivots = self._on_both_blocks(half)
         if pivots != (None, None) or b == 0:
             return next((p for p in pivots if p is not None), None)
         separator -= term  # S = H_ss - W1^H W1 - W2^H W2, lower triangle
@@ -336,14 +336,14 @@ class BandSplit:
         info = potrf(separator, lower=1, overwrite_a=1, clean=0)[1]
         return self.sep + info - 1 if info else None
 
-    def solve(self, flat, work, parallel):
+    def solve(self, flat, work):
         """Overwrite ``work`` (block layout, Fortran order) with the solution
         of the factored system."""
         lapack, b, n = _ROUTINES[flat.dtype], self.b, self.n
 
         def sweep(trans):  # op(L_k)^{-1} on both blocks at once
             self._on_both_blocks(lambda k, start, size, *_: lapack.tbtrs(
-                trans, flat, start * (b + 1), size, b, work, start, work.shape[1], n), parallel)
+                trans, flat, start * (b + 1), size, b, work, start, work.shape[1], n))
 
         sweep(b"N")
         if b:
@@ -369,8 +369,7 @@ class SparseFactorization:
     number of right-hand sides: a split banded Cholesky of a Hermitian
     positive definite matrix, or SuperLU factors of any invertible one."""
 
-    def __init__(self, backend, n, dtype, *, split=None, factor=None, order=None, lu=None,
-                 parallel=True):
+    def __init__(self, backend, n, dtype, *, split=None, factor=None, order=None, lu=None):
         self._backend = backend
         self.n = n
         self._dtype = dtype
@@ -379,7 +378,6 @@ class SparseFactorization:
         self._order = np.arange(n) if order is None else order  # matrix index of each unknown
         self._lu = lu
         self._lock = threading.Lock() if lu is not None else None
-        self._parallel = parallel
 
     def solve(self, rhs):
         rhs = np.asarray(rhs)
@@ -392,7 +390,7 @@ class SparseFactorization:
             cols = np.concatenate((cols.real, cols.imag), axis=1)
         if self._backend == "banded":
             y = np.asarray(cols[self._order], dtype=self._dtype, order="F")
-            self._split.solve(self._factor, y, self._parallel)
+            self._split.solve(self._factor, y)
         else:
             with self._lock:  # SuperLU casts the columns to its dtype in a Fortran-order copy
                 y = self._lu.solve(cols[self._order])
@@ -424,14 +422,13 @@ def factorize(H, ordering=None):
     split = BandSplit(n, int(np.max(np.abs(band.offsets), initial=0)))
     if split.size * dtype.itemsize > _MAX_BAND_BYTES:
         return SparseFactorization("splu", n, dtype, order=perm, lu=_splu(H, dtype, 0.01))
-    flat, parallel = np.empty(split.size, dtype=dtype), _parallel()
-    pivot = split.factor(flat, band.offsets, band.data, parallel)
+    flat = np.empty(split.size, dtype=dtype)
+    pivot = split.factor(flat, band.offsets, band.data)
     order = perm[split.band_index()]
     if pivot is not None:
         raise FactorizationError(f"banded Cholesky breakdown at pivot {order[pivot]}",
                                  pivot_index=int(order[pivot]))
-    return SparseFactorization("banded", n, dtype, split=split, factor=flat, order=order,
-                               parallel=parallel)
+    return SparseFactorization("banded", n, dtype, split=split, factor=flat, order=order)
 
 
 def _splu(M, dtype, diag_pivot_thresh):

@@ -100,6 +100,15 @@ class ContinuationPlan:
         if any(not 0 <= p < len(self.batches) for p in self.paths):
             raise ConfigError("path start index outside the batch list")
 
+    def frequency_indices(self, frequencies):
+        """Each batch's indices into a dataset's ``frequencies``; ConfigError names any it lacks."""
+        missing = sorted({f for b in self.batches for f in b} - set(frequencies))
+        if missing:
+            hz = lambda fs: ", ".join(f"{f:.12g}" for f in fs) + " Hz"
+            raise ConfigError(f"batch frequencies missing from the dataset: {hz(missing)} "
+                              f"(the dataset holds {hz(frequencies)})")
+        return [[frequencies.index(f) for f in b] for b in self.batches]
+
 
 @dataclass(frozen=True)
 class InversionSettings:
@@ -150,30 +159,27 @@ def run_batch(model_in, dataset, settings, criteria, *, m_true=None):
                                bounds=settings.bounds, m_true=m_true,
                                bounds_mode=settings.bounds_mode)
 
-    mu1 = []
-    for f, kern in zip(problem.frequencies, problem.kernels):
+    state = init_state(problem, model_in.values)
+    mu1 = []  # at A(m0), which the first cycle reads too
+    for f, A in zip(problem.frequencies, state.assembled):
         try:
-            mu1.append(power_iteration_mu1(kern.assemble(model_in.values), problem.P).value)
+            mu1.append(power_iteration_mu1(A, problem.P).value)
         except FactorizationError as exc:
             raise SolverError(f"mu1 estimation failed: {exc}", frequency=f) from exc
     params = settings.penalty(mu1)
 
-    state = init_state(problem, model_in.values)
     record = ConvergenceRecord()
-    initial_pde = None
     model_warnings = 0
     reason = StopReason.CONTINUE
     while reason is StopReason.CONTINUE:
         stats = inner_refine(problem, state, params)
         model_warnings += stats.model_warning
-        if stats.initial_pde_misfit is not None:
-            initial_pde = stats.initial_pde_misfit
         record.append(state.k, stats.data_misfit, stats.pde_misfit,
                       model_error(problem, state), wavefield_error(problem, state),
                       state.pde_solve_count)
-        reason = check_stop(state.k, stats, criteria, problem.noise_level, initial_pde)
+        reason = check_stop(state.k, stats, criteria, problem.noise_level, state.initial_pde)
 
-    info = BatchInfo(mu1=mu1, lambdas=params.lambdas, initial_pde_misfit=initial_pde,
+    info = BatchInfo(mu1=mu1, lambdas=params.lambdas, initial_pde_misfit=state.initial_pde,
                      stop_reason=reason, iterations=state.k, model_warnings=model_warnings)
     return SlownessSqModel(grid, state.m_values.copy()), record, info
 
@@ -196,27 +202,21 @@ class RunResult:
 
 def run_inversion(model0, plan, dataset, settings, criteria, *, m_true=None, on_batch=None):
     """Execute all paths and batches of a continuation plan, threading the
-    model; deterministic for a fixed configuration.  ``on_batch``, if given,
-    is called with each ``BatchRecord`` as its batch finishes."""
+    model; deterministic for a fixed configuration.  Every batch is matched
+    against the dataset before the first runs.  ``on_batch``, if given, is
+    called with each ``BatchRecord`` as its batch finishes."""
+    indices = plan.frequency_indices(dataset.frequencies)
     m_cur = velocity_to_slowness_sq(model0)
     batches_out = []
-    per_path_iterations = []
     for p, start in enumerate(plan.paths):
-        path_iterations = 0
         for bi in range(start, len(plan.batches)):
-            wanted = plan.batches[bi]
-            try:
-                indices = [dataset.frequencies.index(f) for f in wanted]
-            except ValueError as exc:
-                raise ConfigError(f"batch frequency missing from dataset: {exc}") from exc
-            model_out, record, info = run_batch(m_cur, dataset.subset(indices), settings,
-                                                criteria, m_true=m_true)
-            batches_out.append(BatchRecord(p, bi, tuple(wanted), record, info))
+            m_cur, record, info = run_batch(m_cur, dataset.subset(indices[bi]), settings,
+                                            criteria, m_true=m_true)
+            batches_out.append(BatchRecord(p, bi, plan.batches[bi], record, info))
             if on_batch is not None:
                 on_batch(batches_out[-1])
-            path_iterations += info.iterations
-            m_cur = model_out
-        per_path_iterations.append(path_iterations)
+    per_path_iterations = [sum(br.info.iterations for br in batches_out if br.path == p)
+                           for p in range(len(plan.paths))]
 
     metadata = {  # what the run derived; the settings are the caller's to record
         "batches": [

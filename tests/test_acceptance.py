@@ -87,8 +87,7 @@ class BoxRuns:
             if threshold is not None and first_hit(run, threshold) is not None:
                 break
             stats = inner_refine(self.problem, state, params)
-            if stats.initial_pde_misfit is not None:
-                run["initial"] = stats.initial_pde_misfit
+            run["initial"] = state.initial_pde
             run["pde"].append(stats.pde_misfit)
             run["data"].append(stats.data_misfit)
             run["merr"].append(model_error(self.problem, state))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from iwri.errors import ParameterError, ShapeError, SolverError
+from iwri.errors import GeometryError, ParameterError, ShapeError, SolverError
 from iwri.grid import Bounds, Grid2D, VelocityModel, velocity_to_slowness_sq
 from iwri.helmholtz import PmlConfig, StencilScheme, _grid_parts
 from iwri.acquisition import AcquisitionGeometry, FrequencyDataset, add_noise, synthesize_data
@@ -334,13 +334,16 @@ _CYCLE_CASES = [(Variant.WRI, 1), (Variant.WRI, 2), (Variant.ADMM, 1), (Variant.
 
 @pytest.mark.parametrize("variant, inner_n", _CYCLE_CASES, ids=lambda c: getattr(c, "value", c))
 def test_cycle_statistics_describe_the_returned_iterate(variant, inner_n):
-    # the misfits are those of (m^{k+1}, u^{k+1}) recomputed independently,
-    # and with one inner iteration the first cycle's initial misfit is
-    # ||b - A(m^0) u^1|| stacked over the frequencies
+    # the misfits are those of (m^{k+1}, u^{k+1}) recomputed independently;
+    # the first cycle writes the batch's initial misfit into the state, with
+    # one inner iteration ||b - A(m^0) u^1|| stacked over the frequencies,
+    # and no later cycle changes it
     problem, m_true, dataset = tiny_problem(bounds=Bounds(1600.0, 2100.0), bounds_mode="bregman")
     params = PenaltyParams(lambdas=(3.0, 1.0), variant=variant, inner_iterations=inner_n)
     state = init_state(problem, np.full(problem.grid.n, 1.0 / 1850.0**2))
+    assert state.initial_pde is None
     A0 = [kern.assemble(state.m_values) for kern in problem.kernels]
+    first = None
     for k in range(3):
         stats = inner_refine(problem, state, params)
         for i, kern in enumerate(problem.kernels):
@@ -352,11 +355,14 @@ def test_cycle_statistics_describe_the_returned_iterate(variant, inner_n):
         assert stats.pde_misfit == pytest.approx(np.linalg.norm(stats.pde_misfit_per_freq), rel=1e-12)
         assert stats.data_misfit == pytest.approx(np.linalg.norm(stats.data_misfit_per_freq), rel=1e-12)
         if k > 0:
-            assert stats.initial_pde_misfit is None
-        elif inner_n == 1:
+            assert state.initial_pde == first
+        else:
+            first = state.initial_pde
+            assert first > 0
+        if k == 0 and inner_n == 1:
             initial = np.sqrt(sum(np.linalg.norm(b - A @ u) ** 2
                                   for b, A, u in zip(problem.sources, A0, state.u)))
-            assert stats.initial_pde_misfit == pytest.approx(initial, rel=1e-12)
+            assert state.initial_pde == pytest.approx(initial, rel=1e-12)
 
 
 def _equal(a, b):
@@ -633,6 +639,18 @@ def test_problem_rejects_unknown_bounds_mode():
     # checked at set-up, before any factorization
     with pytest.raises(ParameterError):
         tiny_problem(bounds_mode="sideways")
+
+
+def test_problem_rejects_a_true_model_on_another_grid():
+    # a true model with as many cells on the transposed grid would measure
+    # the model and wavefield errors against a mis-shaped reference
+    problem, m_true, dataset = tiny_problem()
+    grid, pml = problem.grid, problem.pml
+    for other in (Grid2D(grid.nz, grid.nx, grid.dx, grid.dz), Grid2D(grid.nx, grid.nz, grid.dx, 12.0)):
+        v_other = VelocityModel(other, np.full(other.n, 1850.0))
+        with pytest.raises(GeometryError) as err:
+            InversionProblem(grid, pml, StencilScheme(), dataset, m_true=v_other)
+        assert str(err.value) == f"true model is on {other}, the inversion on {grid}"
 
 
 def test_superlu_fallback_cycle_matches_banded(monkeypatch):

@@ -68,6 +68,22 @@ def test_model_header_and_size_checks(tmp_path):
         assert str(err.value).startswith(f"{tmp_path / 'head.mod'}: "), (line, text)
 
 
+def test_model_header_defects_name_their_byte(tmp_path):
+    # the header is "IWRI-MODEL-1\n100\n70\n10.0\n10.0\n": the fourth line starts at byte 20
+    path = tmp_path / "m.mod"
+    write_model_file(build_homogeneous(Grid2D(100, 70, 10.0, 10.0), 1800.0), path)
+    blob = path.read_bytes()
+    assert blob[17:20] == b"70\n"
+    (tmp_path / "cut.mod").write_bytes(blob[:22])
+    with pytest.raises(FormatError) as err:
+        read_model_file(tmp_path / "cut.mod")
+    assert str(err.value) == f"{tmp_path / 'cut.mod'}: truncated header: no newline from byte 20 on"
+    (tmp_path / "byte.mod").write_bytes(blob[:18] + b"\xff" + blob[19:])
+    with pytest.raises(FormatError) as err:
+        read_model_file(tmp_path / "byte.mod")
+    assert str(err.value) == f"{tmp_path / 'byte.mod'}: non-ascii header byte at offset 18"
+
+
 def test_model_write_is_deterministic(tmp_path, rng):
     grid = Grid2D(20, 10, 5.0, 5.0)
     model = VelocityModel(grid, rng.uniform(1500.0, 2500.0, grid.n))
@@ -368,6 +384,49 @@ def test_cli_missing_input_leaves_no_output_directory(tmp_path):
         assert not out.exists(), argv
 
 
+_INPUTS_THAT_DO_NOT_FIT = [  # (command, config edit, what the message must say)
+    # the absorbing layer's damping rule needs a velocity: no bounds and no true model
+    (["invert"], lambda text: _drop(text, "true_model", "v_min", "v_max"),
+     "error: unresolved PML config needs bounds or a true model to fix the damping rule"),
+    (["scan-lambda", "--fractions", "1e-4"], lambda text: _drop(text, "true_model", "v_min", "v_max"),
+     "error: unresolved PML config needs bounds or a true model to fix the damping rule"),
+    # the dataset's receivers at x = 85 m lie outside a 60 m wide initial model
+    (["invert"], lambda text: _drop(text, "true_model").replace("init.mod", "narrow.mod"),
+     "error: receiver (85.0, 15.0) outside physical grid"),
+    (["invert"], lambda text: text + "batches = 5 | 6\n",
+     "error: batch frequencies missing from the dataset: 6 Hz (the dataset holds 5, 8 Hz)"),
+    # as many cells as the 10x8 initial model, on the transposed grid
+    (["invert"], lambda text: text.replace("true.mod", "tall.mod"),
+     "error: true model is on Grid2D(nx=8, nz=10, dx=10.0, dz=10.0), "
+     "the inversion on Grid2D(nx=10, nz=8, dx=10.0, dz=10.0)"),
+    (["scan-lambda", "--fractions", "1e-4"], lambda text: text.replace("true.mod", "tall.mod"),
+     "error: true model is on Grid2D(nx=8, nz=10, dx=10.0, dz=10.0)"),
+]
+
+
+def _drop(text, *keys):
+    return "".join(line for line in text.splitlines(keepends=True)
+                   if line.partition(" =")[0] not in keys)
+
+
+@pytest.mark.parametrize("argv,edit,message", _INPUTS_THAT_DO_NOT_FIT,
+                         ids=[f"case{i}-{argv[0]}" for i, (argv, _, _) in enumerate(_INPUTS_THAT_DO_NOT_FIT)])
+def test_cli_inputs_that_do_not_fit_leave_no_output_directory(tmp_path, capsys, argv, edit, message):
+    # the run's own checks on how its inputs fit together run before --out is made
+    seed_models(tmp_path)
+    write_model_file(build_homogeneous(Grid2D(6, 8, 10.0, 10.0), 1850.0), tmp_path / "narrow.mod")
+    write_model_file(build_homogeneous(Grid2D(8, 10, 10.0, 10.0), 1850.0), tmp_path / "tall.mod")
+    cfg = write_config(tmp_path, data_line="data = fwd/dataset.iwd\n")
+    assert cli_dispatch(["forward", "--config", str(cfg), "--out", str(tmp_path / "fwd")]) == 0
+    cfg.write_text(edit(cfg.read_text()))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert cli_dispatch([argv[0], "--config", str(cfg), "--out", str(out), *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message) and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_uncreatable_output_directory_is_an_error(tmp_path, capsys):
     seed_models(tmp_path)
     cfg = write_config(tmp_path, data_line="data = out/dataset.iwd\n")
@@ -517,6 +576,21 @@ def test_cli_mu1_matches_invert(tmp_path, capsys):
     capsys.readouterr()
     assert cli_dispatch(["mu1", "--config", str(cfg), "--freq", "5"]) == 0
     assert f"mu1 = {batch['mu1'][0]:.8e}\n" in capsys.readouterr().out
+
+
+def test_cli_mu1_matches_invert_with_the_layer_set_by_the_true_model(tmp_path, capsys):
+    # no velocity bounds and a free top: both set-ups take the layer's
+    # reference velocity from the true model by the one rule, resolve_pml
+    seed_models(tmp_path)
+    cfg = write_config(tmp_path, extra="pml_free_top = true\n", data_line="data = out/dataset.iwd\n")
+    cfg.write_text(_drop(cfg.read_text(), "v_min", "v_max"))
+    assert cli_dispatch(["forward", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert cli_dispatch(["invert", "--config", str(cfg), "--out", str(tmp_path / "inv")]) == 0
+    batch = json.loads((tmp_path / "inv" / "metadata.json").read_text())["run"]["batches"][0]
+    assert batch["frequencies"] == [5.0, 8.0]
+    capsys.readouterr()
+    assert cli_dispatch(["mu1", "--config", str(cfg), "--freq", "5"]) == 0
+    assert capsys.readouterr().out == f"mu1 = {batch['mu1'][0]:.8e}\n"
 
 
 def test_cli_mu1_readme_config(tmp_path, capsys):

@@ -371,6 +371,11 @@ def test_dia_band_factor_matches_dense_solve(rng, complex_values):
     assert np.linalg.norm(M @ y - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
 
+class NoWorker:
+    def submit(self, *args, **kwargs):
+        raise AssertionError("a task went to the band worker")
+
+
 def test_one_cpu_runs_no_worker_task(rng, monkeypatch):
     n, b = 300, 11
     ordering = rng.permutation(n)
@@ -381,17 +386,27 @@ def test_one_cpu_runs_no_worker_task(rng, monkeypatch):
     two = [factorize(H[ordering][:, ordering], ordering=ordering), factorize(band)]
     expected = [f.solve(rhs) for f in two]
 
-    class NoWorker:
-        def submit(self, *args, **kwargs):
-            raise AssertionError("a task went to the band worker")
-
     monkeypatch.setattr(la, "_WORKER", NoWorker())
     monkeypatch.setattr(la.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     one = [factorize(H[ordering][:, ordering], ordering=ordering), factorize(band)]
     for f1, f2, x in zip(one, two, expected):
-        assert not f1._parallel and f2._parallel
         assert np.array_equal(f1._factor, f2._factor)
         assert np.array_equal(f1.solve(rhs), x)
+
+
+def test_factorization_solved_after_losing_a_cpu_runs_no_worker_task(rng, monkeypatch):
+    # the thread choice is made on each call: a factor made on two CPUs and
+    # solved on one keeps block 2 on the calling thread, with the same bits
+    n, b = 300, 11
+    H = sp.dia_matrix(_random_band(rng, n, b, True, np.arange(n)))
+    rhs = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    monkeypatch.setattr(la.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    fact = factorize(H)
+    expected = fact.solve(rhs)
+
+    monkeypatch.setattr(la, "_WORKER", NoWorker())
+    monkeypatch.setattr(la.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert np.array_equal(fact.solve(rhs), expected)
 
 
 def test_power_iteration_identity():

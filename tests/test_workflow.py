@@ -276,6 +276,27 @@ def test_run_inversion_missing_frequency_rejected():
                       settings, StoppingCriteria())
 
 
+def test_run_inversion_matches_every_batch_before_the_first_runs(monkeypatch):
+    # a missing frequency in the second batch is found before the first
+    # batch runs, and named with the dataset's frequencies
+    def run_batch(*args, **kwargs):
+        raise AssertionError("a batch ran before the plan was matched against the dataset")
+
+    v_true, dataset, settings = small_setup()
+    monkeypatch.setattr(workflow, "run_batch", run_batch)
+    plan = ContinuationPlan(batches=((5.0,), (6.0, 8.0)))
+    with pytest.raises(ConfigError) as err:
+        run_inversion(build_homogeneous(v_true.grid, 1850.0), plan, dataset, settings,
+                      StoppingCriteria())
+    assert str(err.value) == ("batch frequencies missing from the dataset: 6 Hz "
+                              "(the dataset holds 5, 8 Hz)")
+    # every missing frequency once, in order; a plan that fits gives each batch's indices
+    with pytest.raises(ConfigError, match=r": 6, 9 Hz \(the dataset"):
+        ContinuationPlan(batches=((9.0, 5.0), (6.0, 9.0))).frequency_indices(dataset.frequencies)
+    plan = ContinuationPlan(batches=((8.0,), (5.0, 8.0)))
+    assert plan.frequency_indices(dataset.frequencies) == [[1], [0, 1]]
+
+
 def test_release_free_memory_is_repeatable_and_optional(monkeypatch):
     assert util.release_free_memory() is None
     assert util.release_free_memory() is None
